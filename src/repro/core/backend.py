@@ -174,7 +174,7 @@ class RuntimeTelemetry:
     def observe_span(self, span: RequestSpan) -> None:
         """Record one completed span: spans list, metrics, trace event.
 
-        The trace detail is built by
+        The trace detail is built (only when tracing is on) by
         :meth:`~repro.obs.spans.RequestSpan.to_event_detail`, which
         excludes the redundant ``node`` field without mutating any dict a
         caller might also hold (the event's own ``node`` field carries it).
@@ -207,7 +207,8 @@ class RuntimeTelemetry:
                 self.metrics.counter(
                     "request_failures_total", node=span.node, kind=span.failure
                 ).inc()
-        self.trace.emit(span.end, "span", span.node, **span.to_event_detail())
+        if self.trace.enabled:
+            self.trace.emit(span.end, "span", span.node, **span.to_event_detail())
 
     def finish_span(
         self,

@@ -26,7 +26,9 @@ Per-node state (Figure 1's ``var`` block):
                    probe round
 ``snt[r]``         neighbors whose responses requestor ``r``'s round awaits
 ``upcntr``         update-id counter (``newid``)
-``sntupdates``     (node, rcvid, sntid) triples recording relayed updates
+``sntupdates``     (node, rcvid, sntid) triples recording relayed updates:
+                   a :class:`~repro.core.ledger.RelayLedger`, per-source
+                   bisect-indexed and compacted so it stays bounded
 =================  =========================================================
 """
 
@@ -36,6 +38,7 @@ from functools import partial
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core.ghost import GhostLog
+from repro.core.ledger import RelayLedger
 from repro.core.messages import Message, Probe, Release, Response, Revoke, Update
 from repro.core.policies import LeasePolicy
 from repro.ops.monoid import AggregationOperator
@@ -104,7 +107,7 @@ class LeaseNode:
         self.pndg: Set[int] = set()
         self.snt: Dict[int, Set[int]] = {}
         self.upcntr = 0
-        self.sntupdates: List[Tuple[int, int, int]] = []
+        self.sntupdates = RelayLedger.for_sources(self.nbrs, self.uaw)
 
         # Precomputed per-neighbor send callables: one bound partial per
         # directed edge instead of a closure frame on every send.
@@ -388,23 +391,19 @@ class LeaseNode:
 
         For each still-taken neighbor ``v`` (other than ``w``), keep only the
         ``uaw[v]`` ids at least as recent as the oldest update relayed to
-        ``w`` within ``S``'s window (the ``sntupdates`` lookup); when no
-        relayed update from ``v`` falls in the window — including when ``S``
-        is empty — the lease from ``v`` carries no recent write pressure and
-        ``uaw[v]`` resets to ∅ (DESIGN.md decision 3; preserves invariant
-        I4).
+        ``w`` within ``S``'s window (the ``sntupdates`` lookup, one bisect);
+        when no relayed update from ``v`` falls in the window — including
+        when ``S`` is empty — the lease from ``v`` carries no recent write
+        pressure and ``uaw[v]`` resets to ∅ (DESIGN.md decision 3;
+        preserves invariant I4).
         """
         min_id = min(S) if S else None
         for v in self.tkn():
             if v == w:
                 continue
-            if min_id is None:
-                window: List[Tuple[int, int, int]] = []
-            else:
-                window = [t for t in self.sntupdates if t[0] == v and t[2] >= min_id]
-            if window:
-                beta_rcvid = min(t[1] for t in window)
-                self.uaw[v] = {i for i in self.uaw[v] if i >= beta_rcvid}
+            beta = None if min_id is None else self.sntupdates.beta(v, min_id)
+            if beta is not None:
+                self.uaw[v] = {i for i in self.uaw[v] if i >= beta}
             else:
                 self.uaw[v] = set()
             if self.isgoodforrelease(v):
@@ -522,7 +521,7 @@ class LeaseNode:
             self.policy.neighbor_attached(self, v)
             self.send(v, Release(S=frozenset()))
             self.send(v, Revoke())
-        self.sntupdates = []
+        self.sntupdates.clear()
         if reestablish and self.nbrs:
             self._sendprobes(self.id)
             self.snt[self.id] = set(self.nbrs)
@@ -593,7 +592,7 @@ class LeaseNode:
                     self._finish_combine(waiters)
                 else:
                     self._sendresponse(root)
-        self.sntupdates = [t for t in self.sntupdates if t[0] != v]
+        self.sntupdates.drop(v)
         self._send_to.pop(v, None)
         self.policy.neighbor_detached(self, v)
 
@@ -617,9 +616,7 @@ class LeaseNode:
         if old in self.pndg:
             self.pndg.discard(old)
             self.pndg.add(new)
-        self.sntupdates = [
-            ((new if t[0] == old else t[0]), t[1], t[2]) for t in self.sntupdates
-        ]
+        self.sntupdates.rename(old, new)
         del self._send_to[old]
         self._send_to[new] = partial(self._send, new)
         # Policy per-neighbor tables (lt/cc dicts where present).

@@ -502,10 +502,27 @@ def check_quiescent_invariants(tree: Tree, nodes: Dict[int, LeaseNode], network)
             raise AssertionError(f"Lemma 3.4 violated at {u}: pndg/snt not empty")
 
 
+def check_ledger_bound(nodes: Dict[int, LeaseNode]) -> None:
+    """Assert the relay-ledger bound at every node: per source ``v``, the
+    ``sntupdates`` entries name only ids still in ``uaw[v]``, plus at most
+    one older entry up to the compaction slack
+    (:meth:`~repro.core.ledger.RelayLedger.bound_violations`).
+
+    Kept apart from :func:`check_quiescent_invariants` because it walks
+    every ledger entry, several times the cost of the lemma checks; the
+    model checker runs both on every terminal state.
+    """
+    for u, node in nodes.items():
+        breaches = node.sntupdates.bound_violations()
+        if breaches:
+            raise AssertionError(f"ledger bound violated at {u}: {breaches[0]}")
+
+
 __all__ = [
     "NodeRuntime",
     "Router",
     "PolicyFactory",
     "SYSTEM_NODE",
     "check_quiescent_invariants",
+    "check_ledger_bound",
 ]

@@ -53,17 +53,18 @@ flat states and dedupes them against the same canonical keys.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core import ledger
 from repro.core.backend import BackendUnsupported, RuntimeTelemetry
 from repro.core.ghost import GhostLog
+from repro.core.ledger import RelayLedger, window_beta
 from repro.core.policies import RWWPolicy
 from repro.core.runtime import SYSTEM_NODE  # noqa: F401  (re-export convention)
 from repro.core.runtime import check_quiescent_invariants as _check_invariants
 from repro.flat.policy import M_AB, M_ALWAYS, M_NEVER, M_RWW, policy_spec
-from repro.flat.views import FlatNode
+from repro.flat.views import FlatNode, _SlotMap
 from repro.obs.costmeter import CostMeter
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
 from repro.ops.standard import SUM
@@ -335,14 +336,12 @@ class FlatRuntime(RuntimeTelemetry):
         self._completed = [0] * n
         self._pndg: List[Set[int]] = [set() for _ in range(n)]
         self._snt: List[Dict[int, Set[int]]] = [{} for _ in range(n)]
-        # Per-slot release-window index over sntupdates: the entries
-        # sourced from slot s's peer, as parallel (nid, uid) lists.  Both
-        # are append-ordered and monotone (nid is the node's own counter,
-        # uid the peer's), so the T6 window [t0 == v and nid >= min(S)]
-        # is a bisect suffix and beta = its first uid — O(log k) instead
-        # of a scan of the node's whole relay history.
+        # The relay ledger (sntupdates, repro.core.ledger), per slot: the
+        # entries sourced from slot s's peer as parallel (nid, uid) lists,
+        # plus the length at which the slot's lists compact next.
         self._win_nid: List[List[int]] = [[] for _ in range(nslots)]
         self._win_uid: List[List[int]] = [[] for _ in range(nslots)]
+        self._win_cap: List[int] = [ledger.next_limit(0)] * nslots
         self._waiters: List[List[Tuple[Request, Callable]]] = [[] for _ in range(n)]
         self._scoped_waiters: List[Dict[int, List[Tuple[Request, Callable]]]] = [
             {} for _ in range(n)
@@ -692,20 +691,16 @@ class FlatRuntime(RuntimeTelemetry):
         min_id = min(S) if S else None
         taken = self._taken
         uaw = self._uaw
-        win_nid = self._win_nid
         for t in range(self._off[u], self._off[u + 1]):
             if not taken[t] or t == s_w:
                 continue
-            if min_id is None:
-                uaw[t] = set()
+            beta = None if min_id is None else window_beta(
+                self._win_nid[t], self._win_uid[t], min_id
+            )
+            if beta is not None:
+                uaw[t] = {x for x in uaw[t] if x >= beta}
             else:
-                nids = win_nid[t]
-                i = bisect_left(nids, min_id)
-                if i < len(nids):
-                    beta = self._win_uid[t][i]
-                    uaw[t] = {x for x in uaw[t] if x >= beta}
-                else:
-                    uaw[t] = set()
+                uaw[t] = set()
             if self._isgood(u, t):
                 self._p_release_policy(u, t)
         self._forwardrelease(u)
@@ -780,8 +775,11 @@ class FlatRuntime(RuntimeTelemetry):
         if has_other:
             self._upcntr[u] += 1
             nid = self._upcntr[u]
-            self._win_nid[s].append(nid)
+            nids = self._win_nid[s]
+            nids.append(nid)
             self._win_uid[s].append(uid)
+            if len(nids) >= self._win_cap[s]:
+                self._win_cap[s] = ledger.compact(nids, self._win_uid[s], self._uaw[s])
             self._forwardupdates(u, s, nid)
         else:
             self._forwardrelease(u)
@@ -919,6 +917,8 @@ class FlatRuntime(RuntimeTelemetry):
         scoped_l = self._scoped_waiters
         win_nid = self._win_nid
         win_uid = self._win_uid
+        win_cap = self._win_cap
+        compact = ledger.compact
         # One call level less than op.combine when op is a plain Monoid.
         combine = getattr(self.op, "combine_fn", None) or self.op.combine
         stats = self.stats
@@ -1091,8 +1091,11 @@ class FlatRuntime(RuntimeTelemetry):
                     if go:
                         nid = upcntr[u] + 1
                         upcntr[u] = nid
-                        win_nid[s].append(nid)
+                        nids = win_nid[s]
+                        nids.append(nid)
                         win_uid[s].append(m[3])
+                        if len(nids) >= win_cap[s]:
+                            win_cap[s] = compact(nids, win_uid[s], uaw[s])
                         counts[o * 5 + 2] += 1
                         nsent += 1
                         push((2, rev[o], combine(val[u], aval[s]), nid, None))
@@ -1155,8 +1158,11 @@ class FlatRuntime(RuntimeTelemetry):
                     # Still a relay: forward to the other grantees.
                     nid = upcntr[u] + 1
                     upcntr[u] = nid
-                    win_nid[s].append(nid)
+                    nids = win_nid[s]
+                    nids.append(nid)
                     win_uid[s].append(m[3])
+                    if len(nids) >= win_cap[s]:
+                        win_cap[s] = compact(nids, win_uid[s], uaw[s])
                     for t in range(lo, hi):
                         if granted[t] and t != s:
                             x = val[u]
@@ -1340,14 +1346,12 @@ class FlatRuntime(RuntimeTelemetry):
                     granted[s] = False
                     S = m[2]
                     if taken[o]:
-                        if S:
-                            nids = win_nid[o]
-                            i = bisect_left(nids, min(S))
-                            if i < len(nids):
-                                beta = win_uid[o][i]
-                                uaw[o] = {x for x in uaw[o] if x >= beta}
-                            else:
-                                uaw[o] = set()
+                        beta = (
+                            window_beta(win_nid[o], win_uid[o], min(S))
+                            if S else None
+                        )
+                        if beta is not None:
+                            uaw[o] = {x for x in uaw[o] if x >= beta}
                         else:
                             uaw[o] = set()
                         if timed:
@@ -1394,16 +1398,14 @@ class FlatRuntime(RuntimeTelemetry):
                 min_id = min(S) if S else None
                 for t in range(lo, hi):
                     if taken[t] and t != s:
-                        if min_id is None:
-                            uaw[t] = set()
+                        beta = (
+                            window_beta(win_nid[t], win_uid[t], min_id)
+                            if min_id is not None else None
+                        )
+                        if beta is not None:
+                            uaw[t] = {x for x in uaw[t] if x >= beta}
                         else:
-                            nids = win_nid[t]
-                            i = bisect_left(nids, min_id)
-                            if i < len(nids):
-                                beta = win_uid[t][i]
-                                uaw[t] = {x for x in uaw[t] if x >= beta}
-                            else:
-                                uaw[t] = set()
+                            uaw[t] = set()
                         if timed:
                             ok = True
                             for r in range(lo, hi):
@@ -1571,44 +1573,19 @@ class FlatRuntime(RuntimeTelemetry):
             self._cc[t] = 0
             self._send_release(t, frozenset())
             self._send_revoke(t)
-            self._win_nid[t] = []
-            self._win_uid[t] = []
+        self._ledger(u).clear()
         if reestablish and hi > lo:
             self._sendprobes(u, u)
             self._snt[u][u] = {peer[t] for t in range(lo, hi)}
 
-    def _sntupdates_list(self, u: int) -> List[Tuple[int, int, int]]:
-        """Node ``u``'s ``sntupdates`` ledger, reconstructed from the
-        per-slot window index.
-
-        The reference backend's list is append-ordered; every append
-        carries a fresh strictly-increasing ``nid``, so merging the
-        per-slot (nid, uid) streams by ``nid`` reproduces the original
-        order exactly — the hot relay path never materializes tuples.
-        """
-        entries: List[Tuple[int, Tuple[int, int, int]]] = []
-        peer = self._peer
-        for t in range(self._off[u], self._off[u + 1]):
-            v = peer[t]
-            uids = self._win_uid[t]
-            entries.extend(
-                (nid, (v, uids[i], nid))
-                for i, nid in enumerate(self._win_nid[t])
-            )
-        entries.sort()
-        return [e[1] for e in entries]
-
-    def _set_sntupdates(self, u: int, value: List[Tuple[int, int, int]]) -> None:
-        """Restore ``u``'s ledger whole (checkpoint restore path)."""
-        for t in range(self._off[u], self._off[u + 1]):
-            self._win_nid[t] = []
-            self._win_uid[t] = []
-        slot_index = self._slot_index
-        for w, uid, nid in value:
-            t = slot_index.get((u, w))
-            if t is not None:
-                self._win_nid[t].append(nid)
-                self._win_uid[t].append(uid)
+    def _ledger(self, u: int) -> RelayLedger:
+        """Node ``u``'s relay ledger, as a view over the per-slot arrays."""
+        return RelayLedger(
+            _SlotMap(self, u, self._win_nid),
+            _SlotMap(self, u, self._win_uid),
+            _SlotMap(self, u, self._win_cap),
+            _SlotMap(self, u, self._uaw),
+        )
 
     # ------------------------------------------------------------- topology
     def set_topology(self, *args: Any, **kwargs: Any) -> None:

@@ -169,12 +169,15 @@ class FlatNode:
         self._rt._upcntr[self.id] = value
 
     @property
-    def sntupdates(self) -> List[Tuple[int, int, int]]:
-        return self._rt._sntupdates_list(self.id)
+    def sntupdates(self) -> Any:
+        """The node's :class:`~repro.core.ledger.RelayLedger` (a view over
+        the runtime's per-slot arrays); assigning a list of triples
+        restores it whole."""
+        return self._rt._ledger(self.id)
 
     @sntupdates.setter
-    def sntupdates(self, value: List[Tuple[int, int, int]]) -> None:
-        self._rt._set_sntupdates(self.id, list(value))
+    def sntupdates(self, value: Any) -> None:
+        self._rt._ledger(self.id).restore(list(value))
 
     @property
     def completed_requests(self) -> int:
@@ -268,7 +271,7 @@ class FlatNode:
             tuple(sorted(self.pndg)),
             tuple(sorted((r, tuple(sorted(t))) for r, t in self.snt.items())),
             self.upcntr,
-            tuple(rt._sntupdates_list(u)),
+            tuple(self.sntupdates),
             self.completed_requests,
             tuple(canonical_value(q) for q, _ in rt._waiters[u]),
             tuple(

@@ -8,9 +8,12 @@ two durability classes:
   so checkpoints neither capture nor restore them.
 * **volatile** — the lease tables (``taken``/``granted``), the cached
   subtree views (``aval``), the ``uaw`` windows, ``sntupdates``, and the
-  policy's bookkeeping.  A crash loses everything since the last
-  checkpoint; recovery rolls these back to the checkpointed copies and
-  then *distrusts* them — the reconciliation round
+  policy's bookkeeping.  ``sntupdates`` is captured as its list of
+  ``(src, rcvid, nid)`` triples in append order; the node's
+  :class:`~repro.core.ledger.RelayLedger` compacts it, so a checkpoint's
+  size stays bounded however long the node has run.  A crash loses
+  everything since the last checkpoint; recovery rolls these back to the
+  checkpointed copies and then *distrusts* them — the reconciliation round
   (:meth:`LeaseNode.recover_reconcile`) voids the restored leases and
   re-pulls fresh views, because peers may have moved on while the node was
   down.  A recovery that skips that round and trusts the checkpointed
@@ -104,7 +107,7 @@ class Checkpoint:
             {v: copy.deepcopy(x) for v, x in self.aval.items() if v in current}
         )
         node.uaw.update({v: set(s) for v, s in self.uaw.items() if v in current})
-        node.sntupdates = [t for t in self.sntupdates if t[0] in current]
+        node.sntupdates.restore(t for t in self.sntupdates if t[0] in current)
         for k, v in copy.deepcopy(self.policy_state).items():
             setattr(node.policy, k, v)
 

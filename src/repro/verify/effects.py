@@ -640,8 +640,11 @@ _FLAT_STATE_MAP: Dict[str, str] = {
     "_pndg": "pndg",
     "_snt": "snt",
     "_upcntr": "upcntr",
+    # The relay ledger's per-slot lists and compaction limits
+    # (repro.core.ledger) are all the one Figure-1 variable.
     "_win_nid": "sntupdates",
     "_win_uid": "sntupdates",
+    "_win_cap": "sntupdates",
     "_completed": "completed_requests",
     "_waiters": "waiters",
     "_scoped_waiters": "scoped_waiters",

@@ -68,7 +68,7 @@ from repro.consistency.causal import check_causal_consistency
 from repro.consistency.strict import check_strict_consistency
 from repro.core.backend import Backend, build_backend
 from repro.core.mechanism import LeaseNode
-from repro.core.runtime import PolicyFactory
+from repro.core.runtime import PolicyFactory, check_ledger_bound
 from repro.core.policies import RWWPolicy
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -425,6 +425,7 @@ class Explorer:
             return
         try:
             world.runtime.check_quiescent_invariants()
+            check_ledger_bound(world.runtime.nodes)
         except AssertionError as exc:
             result.violations.append(
                 Violation(kind="lemma", message=str(exc), schedule=tuple(world.path))

@@ -29,6 +29,12 @@ neighbor the triggering message arrived from):
               re-probe the recovering neighbor (role ``src``) if a round
               is stuck on it.
 
+``sntupdates`` names the whole relay ledger (:mod:`repro.core.ledger`):
+T5 appends to it (and may compact it), T6 only reads it.  On the flat
+backend its per-slot lists and compaction limits (``_win_nid``,
+``_win_uid``, ``_win_cap``) all map onto this one field, so the ledger's
+extra bookkeeping adds no dependence between handlers.
+
 Any drift — a dropped send, a new trace event, a state field touched that
 is not declared here — fails ``python -m repro verify lint`` (PL501/
 PL502) instead of waiting for an integration test to flake.  Deliberate
