@@ -36,9 +36,8 @@ Two backends implement it:
 name exactly like they select a transport by config.  When the flat
 backend cannot host a configuration (simulated transport, custom node
 class, unflattenable policy, dynamic topology) it raises
-:class:`BackendUnsupported` — or, with ``fallback=True``, the factory
-silently builds the reference backend instead (the dynamic engine's
-behavior).
+:class:`BackendUnsupported`; it never substitutes the reference backend
+behind the caller's back.
 """
 
 from __future__ import annotations
@@ -279,9 +278,7 @@ def build_backend(
     recovery: Any = None,
     profiler: Any = None,
     cost_accounting: bool = False,
-    backend_options: Optional[Dict[str, Any]] = None,
     require: Any = (),
-    fallback: bool = False,
 ) -> Any:
     """Assemble the execution backend named ``name``.
 
@@ -297,12 +294,6 @@ def build_backend(
         ``"dynamic"`` (attach/detach/rename, :meth:`set_topology`) and
         ``"sim"`` (a simulated transport stack) are only available on the
         reference backend.
-    fallback:
-        When the named backend cannot host the configuration, build the
-        reference backend instead of raising :class:`BackendUnsupported`.
-    backend_options:
-        Backend-specific keywords (currently the flat backend's
-        ``coalesce_updates``); ignored by the reference backend.
 
     All other parameters are the historical ``NodeRuntime`` constructor
     surface and are forwarded verbatim.
@@ -314,7 +305,6 @@ def build_backend(
         node_cls = LeaseNode
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    options = dict(backend_options or {})
     if name == "flat":
         reason = _flat_unsupported_reason(
             transport=transport,
@@ -338,12 +328,10 @@ def build_backend(
                     seed=seed,
                     profiler=profiler,
                     cost_accounting=cost_accounting,
-                    **options,
                 )
             except BackendUnsupported as exc:
                 reason = str(exc)
-        if not fallback:
-            raise BackendUnsupported(reason)
+        raise BackendUnsupported(reason)
     return NodeRuntime(
         tree,
         op=op,

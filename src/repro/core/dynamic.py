@@ -62,14 +62,12 @@ class DynamicAggregationSystem(AggregationSystem):
     :class:`~repro.core.engine.AggregationSystem` (including telemetry).
 
     Topology changes need the reference backend's attach/detach/rename
-    primitives, so ``backend="flat"`` here *falls back* to the reference
-    backend instead of raising (``_backend_require``/``_backend_fallback``
-    below) — callers sweeping the backend axis over mixed workloads don't
-    have to special-case the dynamic engine.
+    primitives, so ``backend="flat"`` here raises
+    :class:`~repro.core.backend.BackendUnsupported`
+    (``_backend_require`` below).
     """
 
     _backend_require = ("dynamic",)
-    _backend_fallback = True
 
     def __init__(
         self,

@@ -289,10 +289,6 @@ class AggregationSystem(_RuntimeDriver):
         vectorized engine in :mod:`repro.flat`).  The flat backend hosts
         synchronous, static-topology runs only and raises
         :class:`~repro.core.backend.BackendUnsupported` otherwise.
-    backend_options:
-        Backend-specific keywords forwarded by
-        :func:`~repro.core.backend.build_backend` (e.g. the flat
-        backend's ``coalesce_updates``).
 
     Examples
     --------
@@ -305,10 +301,8 @@ class AggregationSystem(_RuntimeDriver):
     """
 
     #: Features subclasses demand from the backend (build_backend's
-    #: ``require``) and whether an unsupported request silently falls back
-    #: to the reference backend — the dynamic engine sets both.
+    #: ``require``) — the dynamic engine asks for ``"dynamic"``.
     _backend_require: Sequence[str] = ()
-    _backend_fallback: bool = False
 
     def __init__(
         self,
@@ -325,7 +319,6 @@ class AggregationSystem(_RuntimeDriver):
         profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.runtime = build_backend(
             backend,
@@ -341,9 +334,7 @@ class AggregationSystem(_RuntimeDriver):
             recovery=recovery,
             profiler=profiler,
             cost_accounting=cost_accounting,
-            backend_options=backend_options,
             require=self._backend_require,
-            fallback=self._backend_fallback,
         )
         self.executed: List[Request] = []
 
@@ -431,7 +422,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if transport is None:
             transport = TransportConfig.simulated(latency=latency, reliability=reliability)
@@ -453,7 +443,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             recovery=recovery,
             profiler=profiler,
             cost_accounting=cost_accounting,
-            backend_options=backend_options,
             require={"sim"},
         )
         self.reliability = transport.reliability

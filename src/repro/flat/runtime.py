@@ -239,9 +239,7 @@ class FlatRuntime(RuntimeTelemetry):
     Constructor surface matches :class:`~repro.core.runtime.NodeRuntime`
     minus the features the flat layout cannot host (simulated
     transports, custom node classes, recovery management) — those raise
-    :class:`~repro.core.backend.BackendUnsupported`, which
-    :func:`~repro.core.backend.build_backend` turns into a reference-
-    backend fallback when the caller allows one.
+    :class:`~repro.core.backend.BackendUnsupported`.
     """
 
     backend_name = "flat"
@@ -260,7 +258,6 @@ class FlatRuntime(RuntimeTelemetry):
         seed: int = 0,
         profiler: Any = None,
         cost_accounting: bool = False,
-        coalesce_updates: bool = False,
     ) -> None:
         config = transport if transport is not None else TransportConfig()
         if not config.synchronous:
@@ -284,7 +281,6 @@ class FlatRuntime(RuntimeTelemetry):
         self.crashed: set = set()
         self._failure_listeners: List[Callable[[List[Request]], None]] = []
         self._ghost_enabled = ghost
-        self.coalesce_updates = coalesce_updates
 
         n = tree.n
         # ------------------------------------------------- CSR adjacency
@@ -1452,8 +1448,7 @@ class FlatRuntime(RuntimeTelemetry):
     def run_write_batch(self, requests: List[Request]) -> None:
         """Apply a batch of writes with per-edge update coalescing.
 
-        With ``coalesce_updates`` (or always through this entry point),
-        the k writes a node absorbs within one batch trigger at most
+        The k writes a node absorbs within one batch trigger at most
         *one* ``update`` per granted edge — carrying the final subval —
         instead of k.  Receivers see a single update id per edge, so
         lease timers are charged once per batch rather than once per

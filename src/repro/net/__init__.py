@@ -9,10 +9,13 @@ framed TCP, surfaced as ``python -m repro serve``:
 * :mod:`repro.net.transport` — :class:`AsyncioTransport` implementing the
   shared transport interface over asyncio, registered with the transport
   seam as ``kind="asyncio"`` (``TransportConfig.external("asyncio")``);
-* :mod:`repro.net.clock` — hybrid logical clock + the wall-clock domain
-  twin of ``SimClock``;
+* :mod:`repro.net.clock` — hybrid logical clock + ``WallClock``, the
+  wall-clock implementation of the ``now`` + ``timer()`` clock domain
+  that ``SimClock`` implements in virtual time;
 * :mod:`repro.net.server` — :class:`NodeServer`, one process hosting a
-  slice of the tree with wall-clock lease TTLs and durable checkpoints;
+  slice of the tree; it drives the simulator's
+  :class:`~repro.recovery.host.LeaseHost` on the wall clock for lease
+  TTLs and durable checkpoints;
 * :mod:`repro.net.cluster` — :class:`ClusterConfig` (declarative N-node
   deployment) and :class:`ClusterSupervisor` (spawn / monitor / kill /
   restart / drive requests);

@@ -17,8 +17,8 @@ stream sorts back into emission order.
 
 :class:`WallClock` is the asyncio counterpart of
 :class:`repro.sim.scheduler.SimClock` — the same ``now`` + ``timer()``
-clock-domain shape consumed by ``ReliableNetwork`` timeouts and
-``LeaseExpiry`` TTLs, backed by ``loop.call_later`` instead of the event
+clock-domain shape consumed by ``ReliableNetwork`` timeouts and the
+``LeaseHost``'s TTL sweep, backed by ``loop.call_later`` instead of the event
 heap.
 """
 

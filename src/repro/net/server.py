@@ -14,14 +14,12 @@ Each server process owns:
   (``trace-<proc>.<incarnation>.jsonl``), flushed line-per-event so a
   SIGKILL loses at most one partial line (the merge tool tolerates torn
   tails);
-* **wall-clock lease TTL sweeps** mirroring
-  :class:`~repro.recovery.manager.RecoveryManager`: the existing
-  :class:`~repro.recovery.lease_ttl.LeaseExpiry` abstraction renewed by
-  trace traffic, expiring taken leases before granted ones (the same
-  holder-first grace), plus the stuck-round re-probe pacing;
-* **durable checkpoints** (:class:`~repro.recovery.checkpoint.Checkpoint`
-  pickled per node) captured every ``checkpoint_interval`` seconds; a
-  restarted incarnation restores them and runs
+* a :class:`~repro.recovery.host.LeaseHost` on the wall clock — the
+  simulator's lease-TTL renewal, expiry sweep, stuck-round re-probing
+  and checkpoint capture — driven by two asyncio loops (one sweep every
+  ``lease_ttl / 2`` seconds, one capture every ``checkpoint_interval``);
+* **durable checkpoints**: each capture is pickled per node; a restarted
+  incarnation restores them and runs
   :meth:`LeaseNode.recover_reconcile` before serving;
 * per-process **metrics** (the standard
   :class:`~repro.obs.metrics.MetricsBridge` over the trace), dumped to
@@ -55,7 +53,6 @@ from typing import (
 )
 
 from repro.core.mechanism import LeaseNode
-from repro.core.messages import Probe
 from repro.core.runtime import Router
 from repro.net.cluster import ClusterConfig, policy_factory_for
 from repro.net.clock import HybridClock, WallClock
@@ -69,8 +66,8 @@ from repro.net.transport import (
 from repro.obs.export import _dump_line
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
 from repro.ops.standard import SUM
-from repro.recovery.checkpoint import Checkpoint, CheckpointStore
-from repro.recovery.lease_ttl import LeaseExpiry
+from repro.recovery.checkpoint import Checkpoint
+from repro.recovery.host import LeaseHost
 from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
 from repro.sim.transport import TransportConfig, build_transport
@@ -156,11 +153,16 @@ class NodeServer:
         self.router = Router()
         self.nodes: Dict[int, LeaseNode] = {}
         self.transport: Optional[AsyncioTransport] = None
-        self.store = CheckpointStore()
-        self.expiry = LeaseExpiry(config.lease_ttl)
-        self.trace.subscribe(self._renew_on_traffic)
-        self._round_seen: Dict[Tuple[int, int], float] = {}
-        self._reprobed: Dict[Tuple[int, int], float] = {}
+        self.host = LeaseHost(
+            self.nodes,
+            clock=self.wall,
+            stamp=self.hlc.tick,
+            trace=self.trace,
+            metrics=self.metrics,
+            ttl=config.lease_ttl,
+            grace=config.lease_ttl / 2,
+        )
+        self.trace.subscribe(self.host.on_trace)
         self._out_queues: Dict[str, Deque[Dict[str, Any]]] = {}
         self._out_wake: Dict[str, asyncio.Event] = {}
         self._down_until: Dict[str, float] = {}
@@ -229,93 +231,20 @@ class NodeServer:
                 except Exception:
                     pass  # torn checkpoint (killed mid-write): start fresh
             node.recover_reconcile(reestablish=True)
-        now = self.wall.now
-        for nid in self.hosted:
-            for v in self.tree.neighbors(nid):
-                self.expiry.renew((nid, v), now)
-                self.expiry.renew((v, nid), now)
+            self.host.renew_node(nid)
 
-    # -------------------------------------------------------------- lease TTL
-    def _renew_on_traffic(self, ev: Any) -> None:
-        # Mirrors RecoveryManager._on_trace: traffic in either direction
-        # renews the edge's lease timers.
-        if ev.kind in ("recv", "deliver"):
-            src = ev.detail.get("src")
-            if src is not None and src >= 0:
-                self.expiry.renew((ev.node, src), ev.time)
-        elif ev.kind == "send":
-            dst = ev.detail.get("dst")
-            if dst is not None and dst >= 0:
-                self.expiry.renew((ev.node, dst), ev.time)
-        elif ev.kind == "lease_acquired":
-            self.expiry.renew((ev.node, ev.detail["source"]), ev.time)
-        elif ev.kind == "lease_granted":
-            self.expiry.renew((ev.node, ev.detail["grantee"]), ev.time)
-
-    def _sweep_body(self) -> None:
-        """Wall-clock twin of RecoveryManager._sweep_body for the hosted
-        nodes: expire silent peers' leases (holder before granter) and
-        re-probe stuck rounds, paced at one per TTL per edge."""
-        now = self.wall.now
-        ttl = self.config.lease_ttl
-        grace = ttl / 2
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            for v in list(node.nbrs):
-                if node.taken.get(v, False) and not self.expiry.alive((nid, v), now):
-                    node.expire_taken(v)
-                    self.metrics.counter(
-                        "lease_expirations_total", node=nid, side="taken"
-                    ).inc()
-                if node.granted.get(v, False) and not self.expiry.alive(
-                    (nid, v), now - grace
-                ):
-                    node.expire_granted(v)
-                    self.metrics.counter(
-                        "lease_expirations_total", node=nid, side="granted"
-                    ).inc()
-            for root in sorted(node.pndg):
-                first = self._round_seen.setdefault((nid, root), now)
-                if now - first < ttl:
-                    continue
-                for w in sorted(node.snt.get(root, ())):
-                    last = self._reprobed.get((nid, w))
-                    if last is not None and now - last < ttl:
-                        continue
-                    self._reprobed[(nid, w)] = now
-                    self.trace.emit(self.hlc.tick(), "reprobe", nid, dst=w, root=root)
-                    node.send(w, Probe())
-        self._round_seen = {
-            key: t0
-            for key, t0 in self._round_seen.items()
-            if key[0] in self.nodes and key[1] in self.nodes[key[0]].pndg
-        }
+    # ---------------------------------------------------- lease TTL, checkpoints
+    async def _period(self, step: float) -> bool:
+        """Wait one period; False once the server is stopping."""
+        try:
+            await asyncio.wait_for(self._stopping.wait(), timeout=step)
+            return False
+        except asyncio.TimeoutError:
+            return True
 
     async def _sweep_task(self) -> None:
-        step = self.config.lease_ttl / 2
-        while not self._stopping.is_set():
-            try:
-                await asyncio.wait_for(self._stopping.wait(), timeout=step)
-                return
-            except asyncio.TimeoutError:
-                pass
-            self._sweep_body()
-
-    # ------------------------------------------------------------ checkpoints
-    def _capture_checkpoints(self) -> List[Tuple[pathlib.Path, bytes]]:
-        """Snapshot every hosted node *synchronously on the loop* (the
-        capture must not interleave with message delivery) and return the
-        serialized blobs for out-of-loop persistence."""
-        now = self.wall.now
-        blobs: List[Tuple[pathlib.Path, bytes]] = []
-        for nid, node in sorted(self.nodes.items()):
-            cp = Checkpoint.capture(node, self.store.next_seq(nid), now)
-            self.store.save(cp)
-            cp_path = self.run_dir / f"checkpoint-n{nid}.pkl"
-            blobs.append((cp_path, pickle.dumps(cp)))
-            self.trace.emit(self.hlc.tick(), "checkpoint", nid, seq=cp.seq)
-            self.metrics.counter("checkpoints_total", node=nid).inc()
-        return blobs
+        while await self._period(self.config.lease_ttl / 2):
+            self.host.sweep()
 
     @staticmethod
     def _persist_blobs(blobs: List[Tuple[pathlib.Path, bytes]]) -> None:
@@ -328,19 +257,17 @@ class NodeServer:
             tmp.replace(cp_path)
 
     async def _checkpoint_now(self) -> None:
-        blobs = self._capture_checkpoints()
-        if blobs:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._persist_blobs, blobs)
+        # Capture synchronously on the loop (it must not interleave with
+        # message delivery); only the file writes leave it.
+        blobs = [
+            (self.run_dir / f"checkpoint-n{cp.node}.pkl", pickle.dumps(cp))
+            for cp in self.host.capture()
+        ]
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._persist_blobs, blobs)
 
     async def _checkpoint_task(self) -> None:
-        step = self.config.checkpoint_interval
-        while not self._stopping.is_set():
-            try:
-                await asyncio.wait_for(self._stopping.wait(), timeout=step)
-                return
-            except asyncio.TimeoutError:
-                pass
+        while await self._period(self.config.checkpoint_interval):
             await self._checkpoint_now()
 
     # ----------------------------------------------------------- remote egress

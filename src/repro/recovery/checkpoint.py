@@ -129,11 +129,3 @@ class CheckpointStore:
 
     def latest(self, node: int) -> Optional[Checkpoint]:
         return self._latest.get(node)
-
-    def drop(self, node: int) -> None:
-        """Forget a node's checkpoints (dynamic leave)."""
-        self._latest.pop(node, None)
-        self._seq.pop(node, None)
-
-    def __len__(self) -> int:
-        return len(self._latest)

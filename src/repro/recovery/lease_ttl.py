@@ -8,9 +8,11 @@ dead holder's leases cannot wedge the grantor forever.
 :class:`LeaseExpiry` captures exactly that law over an abstract monotone
 clock, so both users share one implementation:
 
-* the :class:`~repro.recovery.manager.RecoveryManager` runs it over the
-  simulator's **virtual clock** (``now`` is ``sim.now``) to expire leases
-  whose peer has gone silent;
+* the :class:`~repro.recovery.host.LeaseHost` runs it to expire leases
+  whose peer has gone silent — over the simulator's **virtual clock**
+  under the :class:`~repro.recovery.manager.RecoveryManager`, and over
+  the **wall clock** under ``repro.net``'s
+  :class:`~repro.net.server.NodeServer`;
 * the :class:`~repro.baselines.timelease.TimeLeaseBaseline` runs it over
   the **token clock** of a per-edge request projection (``now`` is the
   token index) for the offline cost accounting.
@@ -22,7 +24,7 @@ with ``ttl`` remaining tokens survives ``ttl`` decrements).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 __all__ = ["LeaseExpiry"]
 
@@ -51,17 +53,3 @@ class LeaseExpiry:
         keys are dead)."""
         expires = self._expires.get(key)
         return expires is not None and expires >= now
-
-    def expired(self, key: Hashable, now: float) -> bool:
-        return not self.alive(key, now)
-
-    def expires_at(self, key: Hashable) -> Optional[float]:
-        """The key's current expiry instant, or ``None`` if never renewed."""
-        return self._expires.get(key)
-
-    def drop(self, key: Hashable) -> None:
-        """Forget ``key`` entirely (it reads as dead until renewed)."""
-        self._expires.pop(key, None)
-
-    def clear(self) -> None:
-        self._expires.clear()

@@ -17,7 +17,9 @@ Responsibilities (see DESIGN.md, "Fault model and crash recovery"):
   ``expire_granted``) so a dead holder never wedges a combine; timers are
   renewed by any traffic received from the peer (PaxosLease-style: leases
   must be refreshed to stay alive — this deliberately trades the paper's
-  message optimality for liveness under crashes);
+  message optimality for liveness under crashes).  Renewal, the sweep and
+  checkpoint capture are the :class:`~repro.recovery.host.LeaseHost`'s,
+  shared with ``repro.net``; this manager only schedules them;
 * **metrics** — ``crashes_total``, ``recoveries_total``,
   ``checkpoints_total``, ``lost_messages_total``,
   ``lease_expirations_total`` counters and a ``time_to_recover``
@@ -31,11 +33,11 @@ free-running timer — the simulator must still drain to quiescence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.core.messages import Probe
-from repro.recovery.checkpoint import Checkpoint, CheckpointStore
-from repro.recovery.lease_ttl import LeaseExpiry
+from repro.recovery.checkpoint import Checkpoint
+from repro.recovery.host import LeaseHost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import NodeRuntime
@@ -111,39 +113,41 @@ class RecoveryManager:
     def __init__(self, runtime: "NodeRuntime", config: RecoveryConfig) -> None:
         self.runtime = runtime
         self.config = config
-        self.store = CheckpointStore()
         if config.lease_ttl is not None and not runtime.trace.enabled:
             # TTL renewal rides the trace subscription (recv/deliver events
             # refresh the peer's timers); without tracing every lease would
             # silently expire at the first sweep.
             raise ValueError("lease_ttl requires a runtime with trace_enabled")
-        self.expiry = (
-            LeaseExpiry(config.lease_ttl) if config.lease_ttl is not None else None
-        )
-        # Stuck-round detection state: when a sweep first observed each
-        # open probe round (keyed ``(node, root)``), and the last liveness
-        # re-probe per directed edge (paces re-probes at one per TTL).
-        # Edge traffic is no proxy for round health — wire-level ACKs and
-        # retransmits keep flowing on a wedged conversation — so the sweep
-        # watches round *age* instead.
-        self._round_seen: Dict[Any, float] = {}
-        self._reprobed: Dict[Any, float] = {}
         self.grace = (
             config.expiry_grace
             if config.expiry_grace is not None
             else (config.lease_ttl / 2 if config.lease_ttl is not None else 0.0)
+        )
+        #: TTL renewal/sweep and checkpoint capture, in virtual time.
+        self.host = LeaseHost(
+            runtime.nodes,
+            clock=runtime,
+            stamp=self._now,
+            trace=runtime.trace,
+            metrics=runtime.metrics,
+            ttl=config.lease_ttl,
+            grace=self.grace,
+            crashed=runtime.crashed,
         )
         #: Crash instants of currently-down nodes.
         self.crash_times: Dict[int, float] = {}
         #: Completed time-to-recover samples, in order.
         self.recovery_durations: List[float] = []
         runtime.trace.subscribe(self._on_trace)
-        if self.expiry is not None:
-            now = runtime.now
-            for u, v in runtime.tree.directed_edges():
-                self.expiry.renew((u, v), now)
+        for nid in runtime.nodes:
+            self.host.renew_node(nid)
         if runtime.sim is not None:
             self._schedule_timeline()
+
+    def _now(self) -> float:
+        # A bound method, not a lambda: NodeRuntime.fork deep-copies it
+        # onto the clone's runtime.
+        return self.runtime.now
 
     # ------------------------------------------------------------ scheduling
     def _horizon(self) -> float:
@@ -162,7 +166,7 @@ class RecoveryManager:
         # so the granter's grace-delayed expiry still gets a tick, plus a
         # full TTL so a probe round wedged by the *last* fault ages into
         # the stuck-round re-probe (detection needs first-seen + TTL).
-        if self.expiry is not None:
+        if self.config.lease_ttl is not None:
             slack += self.config.lease_ttl
             slack += self.config.sweep_interval or (self.config.lease_ttl / 2)
         return max(ev.time for ev in events) + slack
@@ -173,42 +177,36 @@ class RecoveryManager:
         horizon = self._horizon()
         t = self.config.checkpoint_interval
         while t <= horizon:
-            sim.schedule_at(t, self._checkpoint_tick, label="checkpoint tick")
+            sim.schedule_at(
+                t,
+                partial(self._tick, "recovery.checkpoint", self.checkpoint_now),
+                label="checkpoint tick",
+            )
             t += self.config.checkpoint_interval
-        if self.expiry is not None:
+        if self.config.lease_ttl is not None:
             step = self.config.sweep_interval or (self.config.lease_ttl / 2)
             t = step
             while t <= horizon:
-                sim.schedule_at(t, self._sweep_tick, label="lease-ttl sweep")
+                sim.schedule_at(
+                    t,
+                    partial(self._tick, "recovery.sweep", self.host.sweep),
+                    label="lease-ttl sweep",
+                )
                 t += step
 
-    # ----------------------------------------------------------- checkpoints
-    def _checkpoint_tick(self) -> None:
+    def _tick(self, phase: str, work: Callable[[], Any]) -> None:
+        """Run one timeline tick, inside a profiler phase when profiling."""
         prof = self.runtime.profiler
         if prof is not None and prof.enabled:
-            with prof.phase("recovery.checkpoint"):
-                self.checkpoint_now()
+            with prof.phase(phase):
+                work()
             return
-        self.checkpoint_now()
+        work()
 
+    # ----------------------------------------------------------- checkpoints
     def checkpoint_now(self, node_id: Optional[int] = None) -> List[Checkpoint]:
         """Checkpoint one live node (or all of them); returns the captures."""
-        now = self.runtime.now
-        targets = (
-            [node_id] if node_id is not None else sorted(self.runtime.nodes)
-        )
-        out: List[Checkpoint] = []
-        for nid in targets:
-            if nid in self.runtime.crashed:
-                continue
-            cp = Checkpoint.capture(
-                self.runtime.nodes[nid], self.store.next_seq(nid), now
-            )
-            self.store.save(cp)
-            self.runtime.trace.emit(now, "checkpoint", nid, seq=cp.seq)
-            self.runtime.metrics.counter("checkpoints_total", node=nid).inc()
-            out.append(cp)
-        return out
+        return self.host.capture(node_id)
 
     # --------------------------------------------------------- crash/recover
     def handle_crash(self, node_id: int) -> None:
@@ -224,7 +222,7 @@ class RecoveryManager:
         if node_id not in self.runtime.crashed:
             return
         node = self.runtime.nodes[node_id]
-        cp = self.store.latest(node_id)
+        cp = self.host.store.latest(node_id)
         if cp is not None:
             cp.restore(node)
         self.runtime.recover(
@@ -232,85 +230,15 @@ class RecoveryManager:
             emit_trace=False,
             reestablish=self.config.reestablish_probes,
         )
-        now = self.runtime.now
         self.runtime.metrics.counter("recoveries_total", node=node_id).inc()
         t0 = self.crash_times.pop(node_id, None)
         if t0 is not None:
-            ttr = now - t0
+            ttr = self.runtime.now - t0
             self.recovery_durations.append(ttr)
             self.runtime.metrics.histogram(
                 "time_to_recover", buckets=RECOVERY_BUCKETS
             ).observe(ttr)
-        if self.expiry is not None:
-            for v in node.nbrs:
-                self.expiry.renew((node_id, v), now)
-                self.expiry.renew((v, node_id), now)
-
-    # ------------------------------------------------------------- lease TTL
-    def _sweep_tick(self) -> None:
-        """Expire leases whose peer has been silent longer than the TTL."""
-        if self.expiry is None:
-            return
-        prof = self.runtime.profiler
-        if prof is not None and prof.enabled:
-            with prof.phase("recovery.sweep"):
-                self._sweep_body()
-            return
-        self._sweep_body()
-
-    def _sweep_body(self) -> None:
-        assert self.expiry is not None
-        now = self.runtime.now
-        for nid in sorted(self.runtime.nodes):
-            if nid in self.runtime.crashed:
-                continue
-            node = self.runtime.nodes[nid]
-            for v in list(node.nbrs):
-                if node.taken.get(v, False) and not self.expiry.alive(
-                    (nid, v), now
-                ):
-                    node.expire_taken(v)
-                    self.runtime.metrics.counter(
-                        "lease_expirations_total", node=nid, side="taken"
-                    ).inc()
-                # Granter side waits out the grace so the holder always
-                # expires first (see RecoveryConfig.expiry_grace).
-                if node.granted.get(v, False) and not self.expiry.alive(
-                    (nid, v), now - self.grace
-                ):
-                    node.expire_granted(v)
-                    self.runtime.metrics.counter(
-                        "lease_expirations_total", node=nid, side="granted"
-                    ).inc()
-            # Liveness for stuck probe rounds: a round whose probe (or
-            # response) died on a partitioned or crashed edge stays open
-            # forever — and wire traffic is no tell (ACKs and retransmits
-            # keep flowing on a wedged conversation).  A healthy round
-            # completes in a few RTTs, so any round still open a full TTL
-            # after a sweep first saw it is stuck: re-probe its awaited
-            # peers.  Re-probes pace at one per TTL per edge; duplicate
-            # responses are idempotent (T4 discards the peer from every
-            # open round on the first one).
-            for root in sorted(node.pndg):
-                first = self._round_seen.setdefault((nid, root), now)
-                if now - first < self.config.lease_ttl:
-                    continue
-                for w in sorted(node.snt.get(root, ())):
-                    if w in self.runtime.crashed:
-                        continue  # reconcile heals this edge on recovery
-                    last = self._reprobed.get((nid, w))
-                    if last is not None and now - last < self.config.lease_ttl:
-                        continue
-                    self._reprobed[(nid, w)] = now
-                    self.runtime.trace.emit(now, "reprobe", nid, dst=w, root=root)
-                    node.send(w, Probe())
-        # Rounds that closed since the last sweep age out of the table.
-        self._round_seen = {
-            key: t0
-            for key, t0 in self._round_seen.items()
-            if key[0] in self.runtime.nodes
-            and key[1] in self.runtime.nodes[key[0]].pndg
-        }
+        self.host.renew_node(node_id)
 
     # -------------------------------------------------------------- telemetry
     def _on_trace(self, ev: Any) -> None:
@@ -319,21 +247,4 @@ class RecoveryManager:
                 "lost_messages_total", msg=ev.detail.get("msg", "?")
             ).inc()
             return
-        if self.expiry is None:
-            return
-        # Traffic in either direction renews the edge's lease timers:
-        # receives are evidence the peer was alive, and sends matter
-        # because lease traffic is one-directional (a granter streaming
-        # updates would otherwise never refresh its own granted side).
-        if ev.kind in ("recv", "deliver"):
-            src = ev.detail.get("src")
-            if src is not None and src >= 0:
-                self.expiry.renew((ev.node, src), ev.time)
-        elif ev.kind == "send":
-            dst = ev.detail.get("dst")
-            if dst is not None and dst >= 0:
-                self.expiry.renew((ev.node, dst), ev.time)
-        elif ev.kind == "lease_acquired":
-            self.expiry.renew((ev.node, ev.detail["source"]), ev.time)
-        elif ev.kind == "lease_granted":
-            self.expiry.renew((ev.node, ev.detail["grantee"]), ev.time)
+        self.host.on_trace(ev)

@@ -89,7 +89,8 @@ _PEER_IO_ATTRS: FrozenSet[str] = frozenset(
 _TASK_FACTORIES: FrozenSet[str] = frozenset({"ensure_future", "create_task"})
 
 #: Calls that mutate LeaseNode / router state through a self-derived
-#: receiver: pseudo-field ``"nodes"`` for PL604.
+#: receiver: pseudo-field ``"nodes"`` for PL604.  ``sweep`` is
+#: :meth:`repro.recovery.host.LeaseHost.sweep` (lease expiry + re-probes).
 _NODE_STATE_METHODS: FrozenSet[str] = frozenset(
     {
         "deliver_remote",
@@ -103,6 +104,7 @@ _NODE_STATE_METHODS: FrozenSet[str] = frozenset(
         "recover_reconcile",
         "crash_volatile",
         "send",
+        "sweep",
     }
 )
 

@@ -1,11 +1,12 @@
-"""The execution-backend seam: factory contracts, fallbacks, and the
+"""The execution-backend seam: factory contracts, refusals, and the
 flat backend's integration with the layers around the engines.
 
 Complements ``test_flat_equivalence.py`` (which pins observational
 equivalence on golden workloads): here we test the *seam itself* —
 :func:`~repro.core.backend.build_backend` selection and refusal rules,
-the dynamic engine's silent fallback, checkpoint round-trips through the
-flat node views, and the model checker exploring the flat backend.
+the dynamic engine's refusal of the flat backend, checkpoint round-trips
+through the flat node views, and the model checker exploring the flat
+backend.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.recovery.checkpoint import Checkpoint
 from repro.sim.transport import TransportConfig
 from repro.tree.generators import path_tree, star_tree
 from repro.verify.explore import Explorer, parse_script
-from repro.workloads.requests import combine, copy_sequence, write
+from repro.workloads.requests import copy_sequence
 from repro.workloads.synthetic import uniform_workload
 
 
@@ -84,17 +85,6 @@ class TestFactory:
                 require={"dynamic"},
             )
 
-    def test_fallback_builds_reference(self):
-        rt = build_backend(
-            "flat",
-            path_tree(3),
-            op=SUM,
-            policy_factory=RWWPolicy,
-            require={"dynamic"},
-            fallback=True,
-        )
-        assert isinstance(rt, NodeRuntime)
-
     def test_flat_subclassed_builtin_policy_rejected(self):
         # type(...) is exact on purpose: a subclass might override a hook.
         class Tweaked(ABPolicy):
@@ -111,19 +101,15 @@ class TestEngineSelection:
         with pytest.raises(BackendUnsupported):
             ConcurrentAggregationSystem(path_tree(4), backend="flat")
 
-    def test_dynamic_engine_falls_back_to_reference(self):
+    def test_dynamic_engine_rejects_flat(self):
         """Attach/detach/rename need per-node objects; asking the dynamic
-        engine for the flat backend silently builds the reference one."""
-        system = DynamicAggregationSystem(path_tree(4), backend="flat")
+        engine for the flat backend is refused, never silently swapped
+        for the reference one."""
+        with pytest.raises(BackendUnsupported, match="dynamic"):
+            DynamicAggregationSystem(path_tree(4), backend="flat")
+        system = DynamicAggregationSystem(path_tree(4))
         assert isinstance(system.runtime, NodeRuntime)
         assert system.backend_name == "reference"
-        system.execute(write(1, 3.0))
-        new_id = system.add_leaf(2)
-        system.execute(write(new_id, 4.0))
-        assert system.execute(combine(0)).retval == 7.0
-        system.remove_leaf(new_id)
-        assert system.execute(combine(0)).retval == 3.0
-        system.check_quiescent_invariants()
 
     def test_flat_topology_mutators_raise(self):
         rt = build_backend("flat", path_tree(3), op=SUM, policy_factory=RWWPolicy)
