@@ -11,9 +11,11 @@ Since the execution-backend seam, every size runs on both backends where
 feasible: the ``reference`` object-graph runtime up to n=1023 and the
 ``flat`` vectorized engine everywhere — including the 2047/4095 sizes the
 reference backend is too slow to sweep.  Message counts must be identical
-wherever both ran (the equivalence contract); the flat backend must beat
-the reference by >=10x at the n=1023 path size (the seam's headline
-number, also recorded by ``benchmarks/trajectory.py``).
+wherever both ran (the equivalence contract).  The flat-over-reference
+ratio at the n=1023 path size is printed, not gated: it falls whenever
+the reference gets faster, so it cannot guard flat's own speed.  The
+``flat`` row of ``benchmarks/trajectory.py`` gates flat's absolute
+requests/sec on the same workload instead.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ LARGE_SIZES = (511, 1023)
 #: per 300-request run here, the flat engine stays sub-second.
 XLARGE_SIZES = (2047, 4095)
 LENGTH = 300
-#: The seam's acceptance bar: flat over reference at the n=1023 path size.
-FLAT_SPEEDUP_FLOOR = 10.0
 
 
 def sizes_for(kind: str):
@@ -96,14 +96,14 @@ def test_scalability_run(benchmark, n, backend):
 
 
 @pytest.mark.benchmark(group="scale")
-def test_flat_speedup_at_path_1023(benchmark):
-    """The seam's acceptance number: flat >= 10x reference throughput on
-    the 300-request n=1023 path workload.
+def test_flat_speedup_at_path_1023(benchmark, capsys):
+    """Flat over reference throughput on the 300-request n=1023 path
+    workload: equal message counts asserted, the ratio printed.
 
     Best-of-3 interleaved runs per backend: single cold runs on a shared
-    box jitter by +-30%, which is enough to produce false failures at a
-    10x floor when the true ratio sits near 11x.  Interleaving keeps both
-    backends exposed to the same background load.
+    box jitter by +-30%, and interleaving keeps both backends exposed to
+    the same background load.  The ratio is not gated (see the module
+    docstring); flat's speed is gated by the trajectory ``flat`` row.
     """
     def measure():
         refs, flats = [], []
@@ -114,11 +114,11 @@ def test_flat_speedup_at_path_1023(benchmark):
 
     ref, flat = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert ref[3] == flat[3], "backends disagree on message count"
-    speedup = flat[5] / ref[5]
-    assert speedup >= FLAT_SPEEDUP_FLOOR, (
-        f"flat backend only {speedup:.1f}x reference at n=1023 path "
-        f"(floor {FLAT_SPEEDUP_FLOOR:.0f}x)"
-    )
+    with capsys.disabled():
+        print(
+            f"\nflat {flat[5]:.0f} req/s vs reference {ref[5]:.0f} req/s at "
+            f"n=1023 path: {flat[5] / ref[5]:.1f}x"
+        )
 
 
 @pytest.mark.benchmark(group="scale")

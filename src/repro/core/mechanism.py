@@ -239,7 +239,8 @@ class LeaseNode:
             self.completed_requests += 1
             if self.ghost is not None:
                 self.ghost.append_gather(request)
-            self.trace.emit(self._clock(), "combine_done", self.id, value=value)
+            if self.trace.enabled:
+                self.trace.emit(self._clock(), "combine_done", self.id, value=value)
             on_complete(request)
 
     # --------------------------------------------------- scoped combines (ext.)
@@ -270,7 +271,10 @@ class LeaseNode:
             request.index = self.completed_requests
             request.completed_at = self._clock()
             self.completed_requests += 1
-            self.trace.emit(self._clock(), "scoped_combine_done", self.id, toward=v, value=value)
+            if self.trace.enabled:
+                self.trace.emit(
+                    self._clock(), "scoped_combine_done", self.id, toward=v, value=value
+                )
             on_complete(request)
 
     # -------------------------------------------------------------------- T2
@@ -283,10 +287,14 @@ class LeaseNode:
         self.completed_requests += 1
         if self.ghost is not None:
             self.ghost.append_write(request)
-        self.trace.emit(self._clock(), "write_done", self.id, arg=request.arg)
-        if self.grntd():
-            upd_id = self.newid()
-            self._forwardupdates(self.id, upd_id)
+        if self.trace.enabled:
+            self.trace.emit(self._clock(), "write_done", self.id, arg=request.arg)
+        granted = self.granted
+        for v in self.nbrs:
+            if granted[v]:
+                upd_id = self.newid()
+                self._forwardupdates(self.id, upd_id)
+                break
 
     # -------------------------------------------------------------------- T3
     def _t3_probe(self, w: int) -> None:
@@ -308,7 +316,7 @@ class LeaseNode:
         self.aval[w] = msg.x
         if self.ghost is not None and msg.wlog is not None:
             self.ghost.merge(msg.wlog)
-        if msg.flag and not self.taken[w]:
+        if msg.flag and not self.taken[w] and self.trace.enabled:
             self.trace.emit(self._clock(), "lease_acquired", self.id, source=w)
         self.taken[w] = msg.flag
         scoped = self._scoped_waiters.pop(w, None)
@@ -335,7 +343,7 @@ class LeaseNode:
         if self.ghost is not None and msg.wlog is not None:
             self.ghost.merge(msg.wlog)
         self.uaw[w].add(msg.id)
-        if [v for v in self.grntd() if v != w]:
+        if not self.isgoodforrelease(w):
             nid = self.newid()
             self.sntupdates.append((w, msg.id, nid))
             self._forwardupdates(w, nid)
@@ -345,7 +353,7 @@ class LeaseNode:
     # -------------------------------------------------------------------- T6
     def _t6_release(self, w: int, msg: Release) -> None:
         self.policy.release_rcvd(self, w)
-        if self.granted[w]:
+        if self.granted[w] and self.trace.enabled:
             self.trace.emit(self._clock(), "lease_broken", self.id, grantee=w)
         self.granted[w] = False
         self._onrelease(w, msg.S)
@@ -358,7 +366,7 @@ class LeaseNode:
         targets = [
             v for v in self.nbrs if not self.taken[v] and v != w and v not in already
         ]
-        if targets:
+        if targets and self.trace.enabled:
             self.trace.emit(
                 self._clock(), "probe_round", self.id, requestor=w, targets=targets
             )
@@ -369,22 +377,27 @@ class LeaseNode:
         """``forwardupdates(w, id)``: push fresh subvals to all granted
         neighbors except ``w``."""
         wlog = self._wlog_snapshot()
-        for v in self.grntd():
-            if v != w:
+        granted = self.granted
+        for v in self.nbrs:
+            if granted[v] and v != w:
                 self.send(v, Update(x=self.subval(v), id=upd_id, wlog=wlog))
 
     def _sendresponse(self, w: int) -> None:
         """``sendresponse(w)``: answer ``w``'s probe, possibly granting a lease."""
         if not [v for v in self.nbrs if not self.taken[v] and v != w]:
             new_flag = bool(self.policy.set_lease(self, w))
-            if new_flag and not self.granted[w]:
+            if new_flag and not self.granted[w] and self.trace.enabled:
                 self.trace.emit(self._clock(), "lease_granted", self.id, grantee=w)
             self.granted[w] = new_flag
         self.send(w, Response(x=self.subval(w), flag=self.granted[w], wlog=self._wlog_snapshot()))
 
     def isgoodforrelease(self, w: int) -> bool:
         """No granted lease besides (possibly) ``w`` — releases may flow up."""
-        return not [v for v in self.grntd() if v != w]
+        granted = self.granted
+        for v in self.nbrs:
+            if granted[v] and v != w:
+                return False
+        return True
 
     def _onrelease(self, w: int, S: frozenset) -> None:
         """``onrelease(w, S)``: trim ``uaw`` windows and propagate the release.
@@ -420,7 +433,8 @@ class LeaseNode:
                 and self.policy.break_lease(self, v)
             ):
                 self.taken[v] = False
-                self.trace.emit(self._clock(), "lease_released", self.id, source=v)
+                if self.trace.enabled:
+                    self.trace.emit(self._clock(), "lease_released", self.id, source=v)
                 self.send(v, Release(S=frozenset(self.uaw[v])))
                 self.uaw[v].clear()
 
@@ -434,7 +448,8 @@ class LeaseNode:
         """
         for v in self.grntd():
             self.granted[v] = False
-            self.trace.emit(self._clock(), "lease_revoked", self.id, grantee=v)
+            if self.trace.enabled:
+                self.trace.emit(self._clock(), "lease_revoked", self.id, grantee=v)
             self.send(v, Revoke())
         self._renormalize_after_revoke()
 
@@ -443,14 +458,15 @@ class LeaseNode:
         whose coverage relied on it (Lemma 3.2).  The reverse lease back to
         ``w`` itself (if any) covers only this side of the tree and
         survives."""
-        if self.taken[w]:
+        if self.taken[w] and self.trace.enabled:
             self.trace.emit(self._clock(), "lease_voided", self.id, source=w)
         self.taken[w] = False
         self.uaw[w].clear()
         for v in self.grntd():
             if v != w:
                 self.granted[v] = False
-                self.trace.emit(self._clock(), "lease_revoked", self.id, grantee=v)
+                if self.trace.enabled:
+                    self.trace.emit(self._clock(), "lease_revoked", self.id, grantee=v)
                 self.send(v, Revoke())
         self._renormalize_after_revoke()
         # Crash-recovery healing: a revoke from ``w`` can mean ``w`` crashed
@@ -509,9 +525,9 @@ class LeaseNode:
         with no waiters.
         """
         for v in self.nbrs:
-            if self.taken[v]:
+            if self.taken[v] and self.trace.enabled:
                 self.trace.emit(self._clock(), "lease_voided", self.id, source=v)
-            if self.granted[v]:
+            if self.granted[v] and self.trace.enabled:
                 self.trace.emit(self._clock(), "lease_revoked", self.id, grantee=v)
             self.taken[v] = False
             self.granted[v] = False
@@ -537,7 +553,8 @@ class LeaseNode:
         delayed) granted-side expiry is the fallback."""
         if not self.taken.get(v, False):
             return
-        self.trace.emit(self._clock(), "lease_expired", self.id, peer=v, side="taken")
+        if self.trace.enabled:
+            self.trace.emit(self._clock(), "lease_expired", self.id, peer=v, side="taken")
         S = frozenset(self.uaw[v])
         self._on_revoke(v)
         self.send(v, Release(S=S))
@@ -548,8 +565,9 @@ class LeaseNode:
         paying update traffic toward a dead subtree."""
         if not self.granted.get(v, False):
             return
-        self.trace.emit(self._clock(), "lease_expired", self.id, peer=v, side="granted")
-        self.trace.emit(self._clock(), "lease_broken", self.id, grantee=v)
+        if self.trace.enabled:
+            self.trace.emit(self._clock(), "lease_expired", self.id, peer=v, side="granted")
+            self.trace.emit(self._clock(), "lease_broken", self.id, grantee=v)
         self.granted[v] = False
         self._onrelease(v, frozenset())
 

@@ -426,11 +426,15 @@ class FlatRuntime(RuntimeTelemetry):
         u = self._owner[t]
         v = self._peer[t]
         self.stats.record(u, v, kind)
-        self.trace.emit(0.0, "send", u, dst=v, msg=kind)
-        if u in self.crashed or v in self.crashed:
-            self.trace.emit(
-                0.0, "delivery_failed", u, dst=v, msg=kind, seq=-1, attempts=0
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.emit(0.0, "send", u, dst=v, msg=kind)
+        crashed = self.crashed
+        if crashed and (u in crashed or v in crashed):
+            if trace.enabled:
+                trace.emit(
+                    0.0, "delivery_failed", u, dst=v, msg=kind, seq=-1, attempts=0
+                )
             return False
         return True
 
@@ -546,7 +550,8 @@ class FlatRuntime(RuntimeTelemetry):
         g = self._ghost[u]
         if g is not None:
             g.append_write(request)
-        self.trace.emit(0.0, "write_done", u, arg=request.arg)
+        if self.trace.enabled:
+            self.trace.emit(0.0, "write_done", u, arg=request.arg)
         granted = self._granted
         for t in range(self._off[u], self._off[u + 1]):
             if granted[t]:
@@ -616,7 +621,8 @@ class FlatRuntime(RuntimeTelemetry):
             completed[u] += 1
             if g is not None:
                 g.append_gather(request)
-            trace.emit(0.0, "combine_done", u, value=value)
+            if trace.enabled:
+                trace.emit(0.0, "combine_done", u, value=value)
             on_complete(request)
 
     def _finish_scoped(
@@ -631,7 +637,8 @@ class FlatRuntime(RuntimeTelemetry):
             request.index = completed[u]
             request.completed_at = 0.0
             completed[u] += 1
-            trace.emit(0.0, "scoped_combine_done", u, toward=v, value=value)
+            if trace.enabled:
+                trace.emit(0.0, "scoped_combine_done", u, toward=v, value=value)
             on_complete(request)
 
     # ------------------------------------------------------------ procedures
@@ -647,7 +654,7 @@ class FlatRuntime(RuntimeTelemetry):
             for t in range(self._off[u], self._off[u + 1])
             if not taken[t] and peer[t] != w and peer[t] not in already
         ]
-        if targets_out:
+        if targets_out and self.trace.enabled:
             self.trace.emit(0.0, "probe_round", u, requestor=w, targets=targets_out)
         for v in targets_out:
             self._send_probe(self._slot_index[(u, v)])

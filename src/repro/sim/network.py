@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sim.channel import FifoChannel, LatencyModel, constant_latency
 from repro.sim.scheduler import Simulator
@@ -30,6 +30,19 @@ from repro.util.canon import canonical_value
 
 #: Receiver callback: (src, dst, message) -> None.
 Receiver = Callable[[int, int, Any], None]
+
+
+def _kind(message: Any) -> str:
+    """Accounting kind of ``message``: its ``kind``, else its type name."""
+    try:
+        return message.kind
+    except AttributeError:
+        return type(message).__name__.lower()
+
+
+def _neighbor_index(tree: Tree) -> Dict[int, FrozenSet[int]]:
+    """node -> its neighbor set: the per-send edge check is two lookups."""
+    return {u: frozenset(tree.neighbors(u)) for u in tree.nodes()}
 
 
 class SynchronousNetwork:
@@ -43,6 +56,7 @@ class SynchronousNetwork:
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.tree = tree
+        self._nbrs = _neighbor_index(tree)
         self._receiver = receiver
         self.stats = stats if stats is not None else MessageStats()
         self.trace = trace if trace is not None else TraceLog(enabled=False)
@@ -58,15 +72,20 @@ class SynchronousNetwork:
         it), then a ``delivery_failed`` event announces the casualty so
         the offline causal checker can discount it.
         """
-        if not self.tree.has_edge(src, dst):
+        nbrs = self._nbrs.get(src)
+        if nbrs is None or dst not in nbrs:
             raise ValueError(f"({src}, {dst}) is not a tree edge; cannot send")
-        kind = getattr(message, "kind", type(message).__name__.lower())
+        kind = _kind(message)
         self.stats.record(src, dst, kind)
-        self.trace.emit(0.0, "send", src, dst=dst, msg=kind)
-        if src in self.crashed or dst in self.crashed:
-            self.trace.emit(
-                0.0, "delivery_failed", src, dst=dst, msg=kind, seq=-1, attempts=0
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.emit(0.0, "send", src, dst=dst, msg=kind)
+        crashed = self.crashed
+        if crashed and (src in crashed or dst in crashed):
+            if trace.enabled:
+                trace.emit(
+                    0.0, "delivery_failed", src, dst=dst, msg=kind, seq=-1, attempts=0
+                )
             return
         self._queue.append((src, dst, message))
 
@@ -75,16 +94,17 @@ class SynchronousNetwork:
         """Black-hole the node: queued messages to it die as declared
         losses; future traffic to or from it is discarded at send time."""
         self.crashed.add(node)
-        survivors: Deque[Tuple[int, int, Any]] = deque()
-        for src, dst, message in self._queue:
+        queue = self._queue
+        pending = list(queue)
+        queue.clear()  # in place: a running drain loop holds this deque
+        for src, dst, message in pending:
             if dst == node:
-                kind = getattr(message, "kind", type(message).__name__.lower())
                 self.trace.emit(
-                    0.0, "delivery_failed", src, dst=dst, msg=kind, seq=-1, attempts=0
+                    0.0, "delivery_failed", src, dst=dst, msg=_kind(message),
+                    seq=-1, attempts=0,
                 )
             else:
-                survivors.append((src, dst, message))
-        self._queue = survivors
+                queue.append((src, dst, message))
 
     def recover_node(self, node: int) -> None:
         """Reopen the wire to ``node`` (state restoration happens above)."""
@@ -105,13 +125,17 @@ class SynchronousNetwork:
         if self._delivering:
             return 0
         self._delivering = True
+        queue = self._queue
+        popleft = queue.popleft
+        receiver = self._receiver
+        trace = self.trace
         delivered = 0
         try:
-            while self._queue:
-                src, dst, message = self._queue.popleft()
-                kind = getattr(message, "kind", type(message).__name__.lower())
-                self.trace.emit(0.0, "recv", dst, src=src, msg=kind)
-                self._receiver(src, dst, message)
+            while queue:
+                src, dst, message = popleft()
+                if trace.enabled:
+                    trace.emit(0.0, "recv", dst, src=src, msg=_kind(message))
+                receiver(src, dst, message)
                 delivered += 1
                 if delivered > max_messages:
                     raise RuntimeError(
@@ -154,8 +178,8 @@ class SynchronousNetwork:
         for i, (s, d, message) in enumerate(self._queue):
             if (s, d) == (src, dst):
                 del self._queue[i]
-                kind = getattr(message, "kind", type(message).__name__.lower())
-                self.trace.emit(0.0, "recv", dst, src=src, msg=kind)
+                if self.trace.enabled:
+                    self.trace.emit(0.0, "recv", dst, src=src, msg=_kind(message))
                 self._receiver(src, dst, message)
                 return
         raise ValueError(f"no message in flight on edge ({src}, {dst})")
@@ -201,6 +225,7 @@ class SynchronousNetwork:
         if not self.is_quiescent():
             raise RuntimeError("cannot change topology with messages queued")
         self.tree = tree
+        self._nbrs = _neighbor_index(tree)
 
 
 class Network:
@@ -241,8 +266,7 @@ class Network:
         )
 
     def _deliver(self, src: int, dst: int, message: Any) -> None:
-        kind = getattr(message, "kind", type(message).__name__.lower())
-        self.trace.emit(self.sim.now, "recv", dst, src=src, msg=kind)
+        self.trace.emit(self.sim.now, "recv", dst, src=src, msg=_kind(message))
         self._receiver(src, dst, message)
 
     def send(self, src: int, dst: int, message: Any) -> None:
@@ -250,7 +274,7 @@ class Network:
         channel = self._channels.get((src, dst))
         if channel is None:
             raise ValueError(f"({src}, {dst}) is not a tree edge; cannot send")
-        kind = getattr(message, "kind", type(message).__name__.lower())
+        kind = _kind(message)
         self.stats.record(src, dst, kind)
         self.trace.emit(self.sim.now, "send", src, dst=dst, msg=kind)
         channel.send(message)

@@ -22,7 +22,7 @@ from repro.sim import (
 from repro.sim.channel import exponential_latency
 from repro.sim.network import SynchronousNetwork
 from repro.sim.scheduler import SimulationLimitError
-from repro.tree import path_tree
+from repro.tree import Tree, path_tree
 
 
 class TestEventQueue:
@@ -335,6 +335,34 @@ class TestSynchronousNetwork:
         net = SynchronousNetwork(path_tree(3), receiver=lambda *a: None)
         with pytest.raises(ValueError, match="not a tree edge"):
             net.send(0, 2, "x")
+
+    @pytest.mark.parametrize(
+        "src, dst", [(-1, 0), (0, -1), (3, 2), (2, 3), (1, 1), (7, 9)]
+    )
+    def test_rejects_negative_out_of_range_and_self_ids(self, src, dst):
+        net = SynchronousNetwork(path_tree(3), receiver=lambda *a: None)
+        with pytest.raises(ValueError, match="not a tree edge"):
+            net.send(src, dst, "x")
+        assert net.is_quiescent() and net.stats.total == 0
+
+    def test_accepts_both_directions_of_every_edge(self):
+        tree = path_tree(4)
+        net = SynchronousNetwork(tree, receiver=lambda *a: None)
+        for u, v in tree.directed_edges():
+            net.send(u, v, "x")
+        assert net.run_to_quiescence() == 6
+
+    def test_set_topology_rebuilds_edge_check(self):
+        net = SynchronousNetwork(path_tree(3), receiver=lambda *a: None)
+        net.send(1, 2, "x")
+        net.run_to_quiescence()
+        net.set_topology(Tree(4, [(0, 1), (0, 2), (0, 3)]))  # star at 0
+        for src, dst in [(1, 2), (2, 1), (3, 1)]:  # removed or never present
+            with pytest.raises(ValueError, match="not a tree edge"):
+                net.send(src, dst, "x")
+        for src, dst in [(0, 2), (2, 0), (0, 3), (3, 0)]:  # added edges
+            net.send(src, dst, "x")
+        assert net.run_to_quiescence() == 4
 
     def test_runs_to_quiescence_with_chained_sends(self):
         tree = path_tree(3)
