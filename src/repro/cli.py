@@ -10,8 +10,6 @@ Commands
 ``baselines``  read-ratio sweep: RWW vs the static baselines
 ``chaos``      fault-rate sweep under the reliable-delivery layer
 ``trace``      record / summarize / diff / top-edges on JSONL event traces
-``perf``       wall-clock profiling + online cost accounting:
-               record / report / flame / compare
 ``verify``     protocol verification: AST lint, small-scope model checking,
                offline happens-before checking of recorded traces
 ``serve``      run the tree as real OS processes over TCP (``--chaos`` kills
@@ -907,178 +905,6 @@ def cmd_serve(args) -> int:
     return 0 if ok else 1
 
 
-# ---------------------------------------------------------------- perf
-def _load_profile(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"perf: cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise SystemExit(f"perf: {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict) or "phases" not in data:
-        raise SystemExit(f"perf: {path} is not a perf profile (no 'phases' key)")
-    return data
-
-
-def cmd_perf_record(args) -> int:
-    """Run a seeded workload with the wall-clock profiler and the online
-    cost meter attached; write the profile JSON and a collapsed-stack file.
-
-    The profile captures per-phase wall-clock totals (inclusive and self),
-    call counts, named counters, the collapsed stacks, and — for static-tree
-    runs — the live cost-vs-OPT report from the streaming cost meter.
-    """
-    from repro.core.engine import ScheduledRequest, reliable_concurrent_system
-    from repro.obs.perf import PerfProfiler
-    from repro.sim.channel import constant_latency
-    from repro.sim.faults import FaultPlan
-    from repro.sim.reliability import ReliabilityConfig
-
-    tree = make_tree(args.topology, args.nodes, args.seed)
-    wl = uniform_workload(tree.n, args.length, read_ratio=args.read_ratio,
-                          seed=args.seed)
-    profiler = PerfProfiler()
-    if args.mode == "seq":
-        system = AggregationSystem(tree, profiler=profiler, cost_accounting=True)
-        result = system.run(copy_sequence(wl))
-    else:
-        rate = args.fault_pct / 100
-        system = reliable_concurrent_system(
-            tree,
-            FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
-                      seed=args.seed + 5),
-            config=ReliabilityConfig(base_timeout=6.0, backoff=1.5,
-                                     max_timeout=20.0, combine_deadline=args.gap),
-            latency=constant_latency(1.0),
-            seed=args.seed,
-            profiler=profiler,
-            cost_accounting=True,
-        )
-        result = system.run([
-            ScheduledRequest(time=args.gap * i, request=q)
-            for i, q in enumerate(copy_sequence(wl))
-        ])
-    data = profiler.snapshot()
-    data["run"] = {
-        "mode": args.mode,
-        "topology": args.topology,
-        "nodes": tree.n,
-        "length": len(wl),
-        "read_ratio": args.read_ratio,
-        "seed": args.seed,
-        "messages": result.total_messages,
-    }
-    if result.cost is not None:
-        data["cost"] = result.cost.to_dict()
-    collapsed_path = args.collapsed or (args.out + ".collapsed")
-    n_stacks = profiler.write_collapsed(collapsed_path)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote profile to {args.out} "
-          f"({len(data['phases'])} phases, {result.total_messages} messages)")
-    print(f"wrote {n_stacks} collapsed stacks to {collapsed_path}")
-    _print_profile(data, top=5)
-    return 0
-
-
-def _print_profile(data: dict, top: Optional[int] = None) -> None:
-    phases = data.get("phases", {})
-    rows = sorted(
-        ((name, p["count"], p["total_s"], p["self_s"]) for name, p in phases.items()),
-        key=lambda r: -r[3],
-    )
-    if top is not None:
-        rows = rows[:top]
-    print(format_table(
-        ["phase", "count", "total s", "self s"],
-        [(n, c, f"{t:.6f}", f"{s:.6f}") for n, c, t, s in rows],
-        title="hottest phases (by self time):" if top is not None else "phases:",
-    ))
-    counters = data.get("counters", {})
-    if counters:
-        print("counters: " + ", ".join(f"{k}={v}" for k, v in sorted(counters.items())))
-    cost = data.get("cost")
-    if cost:
-        ratio = cost["competitive_ratio"]
-        ratio_txt = f"{ratio:.4f}" if ratio is not None else "inf"
-        print(f"cost vs OPT: observed {cost['observed_messages']}, "
-              f"lower bound {cost['opt_lower_bound']}, live ratio {ratio_txt}")
-
-
-def cmd_perf_report(args) -> int:
-    data = _load_profile(args.profile)
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    run = data.get("run", {})
-    if run:
-        print(f"profile: {run.get('mode', '?')} "
-              f"{run.get('topology', '?')}/{run.get('nodes', '?')} nodes, "
-              f"{run.get('length', '?')} requests, seed {run.get('seed', '?')}")
-    _print_profile(data)
-    return 0
-
-
-def cmd_perf_flame(args) -> int:
-    """Emit the profile's collapsed stacks (``frame;frame weight`` lines) —
-    the input format of standard flamegraph renderers."""
-    data = _load_profile(args.profile)
-    stacks = data.get("stacks", {})
-    from repro.obs.perf import _COLLAPSED_SCALE
-
-    lines = [
-        f"{key} {round(weight * _COLLAPSED_SCALE)}"
-        for key, weight in sorted(stacks.items())
-        if round(weight * _COLLAPSED_SCALE) > 0
-    ]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        print(f"wrote {len(lines)} collapsed stacks to {args.out}")
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
-def cmd_perf_compare(args) -> int:
-    """Per-phase wall-clock deltas between two profiles; exit 1 when any
-    shared phase's self time regressed by more than ``--threshold``."""
-    base = _load_profile(args.baseline)
-    new = _load_profile(args.candidate)
-    base_phases = base.get("phases", {})
-    new_phases = new.get("phases", {})
-    shared = sorted(set(base_phases) & set(new_phases))
-    rows = []
-    regressions = []
-    for name in shared:
-        b, n = base_phases[name]["self_s"], new_phases[name]["self_s"]
-        delta = (n - b) / b if b > 0 else (float("inf") if n > 0 else 0.0)
-        rows.append((name, f"{b:.6f}", f"{n:.6f}", f"{delta:+.1%}"))
-        if b >= args.min_seconds and delta > args.threshold:
-            regressions.append((name, delta))
-    print(format_table(
-        ["phase", "baseline self s", "candidate self s", "delta"],
-        rows,
-        title=f"{args.baseline} vs {args.candidate}:",
-    ))
-    only_base = sorted(set(base_phases) - set(new_phases))
-    only_new = sorted(set(new_phases) - set(base_phases))
-    if only_base:
-        print(f"only in baseline: {', '.join(only_base)}")
-    if only_new:
-        print(f"only in candidate: {', '.join(only_new)}")
-    if regressions:
-        for name, delta in regressions:
-            print(f"REGRESSION: {name} self time {delta:+.1%} "
-                  f"(threshold {args.threshold:.0%})", file=sys.stderr)
-        return 1
-    print(f"no phase regressed beyond {args.threshold:.0%}")
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1207,52 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("trace_file")
     tp.add_argument("--top", type=int, default=5)
     tp.set_defaults(fn=cmd_trace_top_edges)
-
-    p = sub.add_parser("perf",
-                       help="wall-clock profiling and online cost accounting")
-    psub = p.add_subparsers(dest="perf_command", required=True)
-
-    pp = psub.add_parser("record",
-                         help="run a seeded workload under the profiler + "
-                              "cost meter; write profile JSON + collapsed stacks")
-    add_common(pp)
-    pp.add_argument("--length", type=int, default=200)
-    pp.add_argument("--read-ratio", type=float, default=0.5)
-    pp.add_argument("--mode", default="seq", choices=["seq", "chaos"],
-                    help="sequential engine or concurrent+lossy with the "
-                         "reliable-delivery layer (profiles retransmits too)")
-    pp.add_argument("--fault-pct", type=float, default=10.0,
-                    help="chaos mode: drop/reorder rate in percent (dup at half)")
-    pp.add_argument("--gap", type=float, default=600.0,
-                    help="chaos mode: virtual-time gap between requests")
-    pp.add_argument("--out", required=True, help="profile JSON output path")
-    pp.add_argument("--collapsed",
-                    help="collapsed-stack output path (default: <out>.collapsed)")
-    pp.set_defaults(fn=cmd_perf_record)
-
-    pp = psub.add_parser("report", help="pretty-print a recorded profile")
-    pp.add_argument("profile")
-    pp.add_argument("--json", action="store_true")
-    pp.set_defaults(fn=cmd_perf_report)
-
-    pp = psub.add_parser("flame",
-                         help="emit collapsed stacks (flamegraph input) "
-                              "from a recorded profile")
-    pp.add_argument("profile")
-    pp.add_argument("--out", help="write to a file instead of stdout")
-    pp.set_defaults(fn=cmd_perf_flame)
-
-    pp = psub.add_parser("compare",
-                         help="per-phase deltas between two profiles; "
-                              "nonzero exit on regression")
-    pp.add_argument("baseline")
-    pp.add_argument("candidate")
-    pp.add_argument("--threshold", type=float, default=0.25,
-                    help="fail when a phase's self time grows by more than "
-                         "this fraction (default 0.25)")
-    pp.add_argument("--min-seconds", type=float, default=1e-4,
-                    help="ignore phases below this baseline self time")
-    pp.set_defaults(fn=cmd_perf_compare)
 
     p = sub.add_parser("verify",
                        help="protocol verification toolkit (see DESIGN.md)")

@@ -276,7 +276,6 @@ def build_backend(
     seed: int = 0,
     node_cls: Any = None,
     recovery: Any = None,
-    profiler: Any = None,
     cost_accounting: bool = False,
     require: Any = (),
 ) -> Any:
@@ -326,7 +325,6 @@ def build_backend(
                     metrics=metrics,
                     trace_max_events=trace_max_events,
                     seed=seed,
-                    profiler=profiler,
                     cost_accounting=cost_accounting,
                 )
             except BackendUnsupported as exc:
@@ -344,7 +342,6 @@ def build_backend(
         seed=seed,
         node_cls=node_cls,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 

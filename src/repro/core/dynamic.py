@@ -39,7 +39,7 @@ under faults needs nothing extra.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.engine import AggregationSystem, PolicyFactory
 from repro.core.policies import RWWPolicy
@@ -78,7 +78,6 @@ class DynamicAggregationSystem(AggregationSystem):
         metrics: Optional[MetricsRegistry] = None,
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
-        profiler: Optional[Any] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -90,7 +89,6 @@ class DynamicAggregationSystem(AggregationSystem):
             metrics=metrics,
             transport=transport,
             seed=seed,
-            profiler=profiler,
             cost_accounting=cost_accounting,
             backend=backend,
         )

@@ -48,7 +48,6 @@ from repro.core.runtime import (
 )
 from repro.obs.costmeter import CostMeter, CostReport
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PerfProfiler
 from repro.obs.spans import RequestSpan
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -215,10 +214,6 @@ class _RuntimeDriver:
         return self.runtime.sim
 
     @property
-    def profiler(self) -> Optional[PerfProfiler]:
-        return self.runtime.profiler
-
-    @property
     def cost_meter(self) -> Optional[CostMeter]:
         return self.runtime.cost_meter
 
@@ -316,7 +311,6 @@ class AggregationSystem(_RuntimeDriver):
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -332,7 +326,6 @@ class AggregationSystem(_RuntimeDriver):
             trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
-            profiler=profiler,
             cost_accounting=cost_accounting,
             require=self._backend_require,
         )
@@ -419,7 +412,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         trace_max_events: Optional[int] = None,
         transport: Optional[TransportConfig] = None,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -441,7 +433,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
-            profiler=profiler,
             cost_accounting=cost_accounting,
             require={"sim"},
         )
@@ -620,7 +611,6 @@ def faulty_concurrent_system(
     reliability: Optional[ReliabilityConfig] = None,
     trace_enabled: bool = False,
     recovery: Optional[Any] = None,
-    profiler: Optional[PerfProfiler] = None,
     cost_accounting: bool = False,
 ) -> ConcurrentAggregationSystem:
     """A :class:`ConcurrentAggregationSystem` whose transport is lossy.
@@ -654,7 +644,6 @@ def faulty_concurrent_system(
         trace_enabled=trace_enabled,
         transport=config,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 
@@ -670,7 +659,6 @@ def reliable_concurrent_system(
     ghost: bool = True,
     trace_enabled: bool = False,
     recovery: Optional[Any] = None,
-    profiler: Optional[PerfProfiler] = None,
     cost_accounting: bool = False,
 ) -> ConcurrentAggregationSystem:
     """A concurrent system whose lossy transport is healed by a
@@ -687,7 +675,6 @@ def reliable_concurrent_system(
         reliability=config if config is not None else ReliabilityConfig(),
         trace_enabled=trace_enabled,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 

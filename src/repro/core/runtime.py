@@ -43,7 +43,6 @@ from repro.core.mechanism import LeaseNode
 from repro.core.policies import LeasePolicy, RWWPolicy
 from repro.obs.costmeter import CostMeter
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
-from repro.obs.perf import PerfProfiler
 from repro.obs.spans import RequestSpan
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -71,25 +70,11 @@ class Router:
     :meth:`add` / :meth:`remove` / :meth:`rename`.
     """
 
-    def __init__(self, profiler: Optional[PerfProfiler] = None) -> None:
+    def __init__(self) -> None:
         self.nodes: Dict[int, LeaseNode] = {}
-        #: Optional wall-clock profiler; when enabled, :meth:`route` wraps
-        #: each delivery in a ``mechanism.<kind>`` phase.  Disabled or
-        #: absent, the dispatch path pays one attribute load and a branch —
-        #: no allocation, and ``LeaseNode.on_message`` itself is untouched.
-        self.profiler = profiler
 
     def route(self, src: int, dst: int, message: Any) -> None:
         """Deliver ``message`` (sent by ``src``) to node ``dst``."""
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            prof.count("messages_routed")
-            prof.push("mechanism." + type(message).__name__.lower())
-            try:
-                self.nodes[dst].on_message(src, message)
-            finally:
-                prof.pop()
-            return
         self.nodes[dst].on_message(src, message)
 
     def add(self, node: LeaseNode) -> LeaseNode:
@@ -164,7 +149,6 @@ class NodeRuntime(RuntimeTelemetry):
         seed: int = 0,
         node_cls: Type[LeaseNode] = LeaseNode,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -178,11 +162,6 @@ class NodeRuntime(RuntimeTelemetry):
         if trace_enabled:
             self.trace.subscribe(MetricsBridge(self.metrics))
         self.stats = MessageStats()
-        #: Optional wall-clock profiler, threaded into the scheduler's
-        #: event loop, the router's dispatch and the reliable layer's
-        #: retransmit path.  ``None`` (the default) keeps every hot path
-        #: on its historical unguarded code.
-        self.profiler = profiler
         #: Streaming observed-vs-OPT accountant (``cost_accounting=True``);
         #: engines feed it one request per initiation, in order.  Dropped
         #: on :meth:`set_topology` — the per-edge DP assumes a static tree.
@@ -190,9 +169,9 @@ class NodeRuntime(RuntimeTelemetry):
             CostMeter(tree, self.stats) if cost_accounting else None
         )
         self.sim: Optional[Simulator] = (
-            Simulator(profiler=profiler) if self.config.needs_sim else None
+            Simulator() if self.config.needs_sim else None
         )
-        self.router = Router(profiler=profiler)
+        self.router = Router()
         self.network: Transport = build_transport(
             self.config,
             tree,
@@ -202,7 +181,6 @@ class NodeRuntime(RuntimeTelemetry):
             stats=self.stats,
             trace=self.trace,
             metrics=self.metrics,
-            profiler=profiler,
         )
         self._ghost = ghost
         self.node_cls = node_cls

@@ -34,9 +34,9 @@ Batched delivery & accounting
     buffers flushed into :class:`~repro.sim.stats.MessageStats` form
     only when per-edge detail is actually read; ``stats.total`` is exact
     at every batch boundary, so spans, metrics and the cost meter see
-    the numbers they always saw.  When tracing, ghost logs, crashes or
-    the profiler are active, drain drops to a slow path that emits the
-    reference backend's exact event stream.
+    the numbers they always saw.  When tracing, ghost logs or crashes
+    are active, drain drops to a slow path that emits the reference
+    backend's exact event stream.
 
 Per-edge update coalescing
     :meth:`run_write_batch` applies a batch of writes with at most one
@@ -256,7 +256,6 @@ class FlatRuntime(RuntimeTelemetry):
         metrics: Optional[MetricsRegistry] = None,
         trace_max_events: Optional[int] = None,
         seed: int = 0,
-        profiler: Any = None,
         cost_accounting: bool = False,
     ) -> None:
         config = transport if transport is not None else TransportConfig()
@@ -274,7 +273,6 @@ class FlatRuntime(RuntimeTelemetry):
         self.spans: List[Any] = []
         if trace_enabled:
             self.trace.subscribe(MetricsBridge(self.metrics))
-        self.profiler = profiler
         self.sim = None
         self.recovery = None
         self.seed = seed
@@ -852,26 +850,12 @@ class FlatRuntime(RuntimeTelemetry):
         """Run the wire to quiescence (batched; see module doc)."""
         if not self._queue:
             return
-        prof = self.profiler
-        if (
-            not self.trace.enabled
-            and not self._ghost_enabled
-            and not self.crashed
-            and (prof is None or not prof.enabled)
-        ):
+        if not self.trace.enabled and not self._ghost_enabled and not self.crashed:
             self._drain_fast()
-            return
-        if prof is not None and prof.enabled:
-            prof.push("flat.drain")
-            try:
-                delivered = self._drain_slow()
-            finally:
-                prof.pop()
-            prof.count("messages_routed", delivered)
         else:
             self._drain_slow()
 
-    def _drain_slow(self) -> int:
+    def _drain_slow(self) -> None:
         """Reference-faithful drain: full traces, ghost logs, crash holes."""
         queue = self._queue
         delivered = 0
@@ -882,13 +866,12 @@ class FlatRuntime(RuntimeTelemetry):
                 raise RuntimeError(
                     f"exceeded {MAX_DELIVERIES} deliveries; protocol livelock?"
                 )
-        return delivered
 
     def _drain_fast(self) -> None:
         """The hot path: one inlined loop, every array in a local.
 
         Preconditions (checked by :meth:`drain`): tracing off, ghost logs
-        off, no crashed nodes, profiler off.  Under those, transitions
+        off, no crashed nodes.  Under those, transitions
         cannot emit events and wlogs are always ``None``, so the loop
         below is the exact composition of the slow-path transitions with
         all dead branches removed.  Message accounting goes to local

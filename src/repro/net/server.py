@@ -169,6 +169,10 @@ class NodeServer:
         self._stopping = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Future[Any]"] = []
+        #: Open inbound connections and their handler tasks, so teardown
+        #: can close them and let each handler return on EOF instead of
+        #: leaving ``asyncio.run`` to cancel it.
+        self._inbound: Dict[asyncio.StreamWriter, "asyncio.Task[Any]"] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     def _retain(self, task: "asyncio.Future[Any]") -> None:
@@ -368,41 +372,47 @@ class NodeServer:
     async def _serve_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                break
-            ftype = frame.get("type")
-            if ftype == "msg":
-                self.hlc.observe(frame.get("hlc", 0.0))
-                assert self.transport is not None
-                self.transport.deliver_remote(
-                    frame["src"], frame["dst"],
-                    decode_message(frame["m"]),
-                    frame["seq"], frame["inc"],
-                )
-            elif ftype == "req":
-                self._handle_request(frame, writer)
-            elif ftype == "status":
-                self._send_status(writer)
-            elif ftype == "hello":
-                self.hlc.observe(frame.get("hlc", 0.0))
-                peer = frame.get("proc")
-                if peer in self._down_until:
-                    # The peer dialed us: it is demonstrably back up.  Stop
-                    # treating its queued frames as crash losses; frames its
-                    # reconcile round triggers (probe -> grant Response) must
-                    # be delivered, or lease symmetry is stuck asymmetric
-                    # until the next TTL sweep touches the edge.
-                    del self._down_until[peer]
-                    if peer in self._out_wake:
-                        self._out_wake[peer].set()
-            elif ftype == "shutdown":
-                self._stopping.set()
+        task = asyncio.current_task()
+        assert task is not None
+        self._inbound[writer] = task
         try:
-            writer.close()
-        except Exception:
-            pass
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                ftype = frame.get("type")
+                if ftype == "msg":
+                    self.hlc.observe(frame.get("hlc", 0.0))
+                    assert self.transport is not None
+                    self.transport.deliver_remote(
+                        frame["src"], frame["dst"],
+                        decode_message(frame["m"]),
+                        frame["seq"], frame["inc"],
+                    )
+                elif ftype == "req":
+                    self._handle_request(frame, writer)
+                elif ftype == "status":
+                    self._send_status(writer)
+                elif ftype == "hello":
+                    self.hlc.observe(frame.get("hlc", 0.0))
+                    peer = frame.get("proc")
+                    if peer in self._down_until:
+                        # The peer dialed us: it is demonstrably back up.  Stop
+                        # treating its queued frames as crash losses; frames its
+                        # reconcile round triggers (probe -> grant Response) must
+                        # be delivered, or lease symmetry is stuck asymmetric
+                        # until the next TTL sweep touches the edge.
+                        del self._down_until[peer]
+                        if peer in self._out_wake:
+                            self._out_wake[peer].set()
+                elif ftype == "shutdown":
+                    self._stopping.set()
+        finally:
+            del self._inbound[writer]
+            try:
+                writer.close()
+            except Exception:
+                pass
 
     @staticmethod
     async def _drain_quietly(writer: asyncio.StreamWriter) -> None:
@@ -515,7 +525,14 @@ class NodeServer:
         for task in writer_tasks + self._tasks:
             task.cancel()
         await asyncio.gather(*writer_tasks, *self._tasks, return_exceptions=True)
+        # Stop accepting, then close every inbound connection: each handler
+        # reads EOF and returns, so none is left for asyncio.run to cancel.
         server.close()
+        handlers = list(self._inbound.values())
+        for writer in self._inbound:
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=PEER_IO_TIMEOUT)
         await server.wait_closed()
         metrics_path = self.run_dir / f"metrics-{self.proc}.{self.incarnation}.json"
         import json as _json

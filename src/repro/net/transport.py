@@ -303,7 +303,6 @@ def _build_from_config(
     stats: Optional[MessageStats] = None,
     trace: Optional[TraceLog] = None,
     metrics: Any = None,
-    profiler: Any = None,
 ) -> AsyncioTransport:
     """The ``build_transport`` factory for ``kind="asyncio"``.
 

@@ -19,10 +19,6 @@ those quantities first-class at runtime:
     Streaming lemma checkers on the trace event bus; violations raise
     structured :class:`MonitorViolation` in tests/CI and print as warnings
     in the CLI.
-``repro.obs.perf``
-    :class:`PerfProfiler` — wall-clock phase timers and counters threaded
-    through the hot paths, with a null-object disabled mode, collapsed
-    (flamegraph) stacks and per-phase histograms.
 ``repro.obs.costmeter``
     :class:`CostMeter` — streaming per-edge DP accountant comparing the
     observed message cost against the offline OPT lower bound live.
@@ -30,6 +26,10 @@ those quantities first-class at runtime:
 The engines in :mod:`repro.core.engine` populate all of it: every run gets
 a registry and spans for free; enabling tracing additionally feeds the
 event bus (and therefore the monitors and the exporter).
+
+Wall-clock attribution is not in this package: ``perfbench/`` (outside
+the installed tree) wraps each layer from the outside when it traces, so
+no hot path here carries a timing hook.
 """
 
 from repro.obs.costmeter import CostMeter, CostReport
@@ -64,23 +64,11 @@ from repro.obs.monitors import (
     attach_standard_monitors,
     expected_probe_edges,
 )
-from repro.obs.perf import (
-    NULL_PROFILER,
-    NullProfiler,
-    PerfProfiler,
-    PHASE_SECONDS_BUCKETS,
-    parse_collapsed,
-)
 from repro.obs.spans import RequestSpan, probe_fanout_from_events, span_summary
 
 __all__ = [
     "CostMeter",
     "CostReport",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "PerfProfiler",
-    "PHASE_SECONDS_BUCKETS",
-    "parse_collapsed",
     "Counter",
     "Gauge",
     "Histogram",

@@ -33,8 +33,7 @@ free-running timer — the simulator must still drain to quiescence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.recovery.checkpoint import Checkpoint
 from repro.recovery.host import LeaseHost
@@ -177,31 +176,14 @@ class RecoveryManager:
         horizon = self._horizon()
         t = self.config.checkpoint_interval
         while t <= horizon:
-            sim.schedule_at(
-                t,
-                partial(self._tick, "recovery.checkpoint", self.checkpoint_now),
-                label="checkpoint tick",
-            )
+            sim.schedule_at(t, self.checkpoint_now, label="checkpoint tick")
             t += self.config.checkpoint_interval
         if self.config.lease_ttl is not None:
             step = self.config.sweep_interval or (self.config.lease_ttl / 2)
             t = step
             while t <= horizon:
-                sim.schedule_at(
-                    t,
-                    partial(self._tick, "recovery.sweep", self.host.sweep),
-                    label="lease-ttl sweep",
-                )
+                sim.schedule_at(t, self.host.sweep, label="lease-ttl sweep")
                 t += step
-
-    def _tick(self, phase: str, work: Callable[[], Any]) -> None:
-        """Run one timeline tick, inside a profiler phase when profiling."""
-        prof = self.runtime.profiler
-        if prof is not None and prof.enabled:
-            with prof.phase(phase):
-                work()
-            return
-        work()
 
     # ----------------------------------------------------------- checkpoints
     def checkpoint_now(self, node_id: Optional[int] = None) -> List[Checkpoint]:

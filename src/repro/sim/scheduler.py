@@ -10,7 +10,7 @@ optimize measured bottlenecks only).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 
@@ -33,16 +33,10 @@ class Simulator:
     [1.0, 2.0]
     """
 
-    def __init__(self, profiler: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
-        #: Optional wall-clock phase profiler (duck-typed — the sim layer
-        #: does not import :mod:`repro.obs`; anything with
-        #: ``enabled``/``push``/``pop``/``count`` works, see
-        #: :class:`repro.obs.perf.PerfProfiler`).  ``None`` or a disabled
-        #: profiler keeps :meth:`run` on the historical tight loop.
-        self.profiler = profiler
 
     @property
     def now(self) -> float:
@@ -81,10 +75,6 @@ class Simulator:
         Raises :class:`SimulationLimitError` after ``max_events`` events —
         a guard against livelocked protocols rather than a sampling knob.
         """
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            self._run_profiled(prof, until, max_events)
-            return
         budget = max_events
         while True:
             nxt = self._queue.peek_time()
@@ -97,41 +87,6 @@ class Simulator:
             assert ev is not None
             self._now = ev.time
             ev.action()
-            self._events_processed += 1
-            budget -= 1
-            if budget <= 0:
-                raise SimulationLimitError(
-                    f"exceeded {max_events} events at t={self._now}; "
-                    "protocol livelock or budget too small"
-                )
-
-    def _run_profiled(self, prof: Any, until: Optional[float], max_events: int) -> None:
-        """The instrumented twin of :meth:`run`'s tight loop.
-
-        Each event runs inside a ``sim.<label-head>`` phase (the first
-        token of the event label — ``deliver``, ``rto``, ``fault``,
-        ``watchdog``, … — so per-node labels don't explode cardinality).
-        Kept separate so the disabled path stays byte-identical to the
-        pre-profiler loop.
-        """
-        budget = max_events
-        while True:
-            nxt = self._queue.peek_time()
-            if nxt is None:
-                return
-            if until is not None and nxt > until:
-                self._now = until
-                return
-            ev = self._queue.pop()
-            assert ev is not None
-            self._now = ev.time
-            label = ev.label
-            prof.count("sim.events")
-            prof.push("sim." + (label.split(" ", 1)[0] if label else "event"))
-            try:
-                ev.action()
-            finally:
-                prof.pop()
             self._events_processed += 1
             budget -= 1
             if budget <= 0:

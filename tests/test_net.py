@@ -372,6 +372,16 @@ class TestLoopbackServe:
 
 
 # ============================================================ process tree
+def _assert_no_tracebacks(run_dir):
+    """Every process log of the run is free of tracebacks: a clean
+    shutdown closes its inbound connections instead of leaving their
+    handler tasks for ``asyncio.run`` to cancel."""
+    logs = sorted(run_dir.glob("proc-*.log"))
+    assert logs
+    for log in logs:
+        assert "Traceback" not in log.read_text(), log.name
+
+
 class TestClusterServe:
     async def _drive(self, sup, config, requests):
         total = 0.0
@@ -410,6 +420,7 @@ class TestClusterServe:
         assert len(files) >= 4   # 3 process streams + the supervisor's
         verdict = verify_merged(events, n_nodes=config.n)
         assert verdict["ok"], verdict
+        _assert_no_tracebacks(tmp_path)
 
     async def test_chaos_kill_and_restart(self, tmp_path):
         """The ISSUE acceptance: a 7-process tree survives SIGKILLing two
@@ -460,6 +471,8 @@ class TestClusterServe:
         assert verdict["causal"]["ok"], verdict["causal"]
         assert verdict["monitor_violations"] == []
         assert verdict["ok"], verdict
+        # SIGKILLed incarnations die without a word; the rest shut down clean.
+        _assert_no_tracebacks(tmp_path)
 
 
 # ============================================================ loss synthesis
