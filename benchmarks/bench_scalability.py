@@ -14,8 +14,8 @@ reference backend is too slow to sweep.  Message counts must be identical
 wherever both ran (the equivalence contract).  The flat-over-reference
 ratio at the n=1023 path size is printed, not gated: it falls whenever
 the reference gets faster, so it cannot guard flat's own speed.  The
-``flat`` row of ``benchmarks/trajectory.py`` gates flat's absolute
-requests/sec on the same workload instead.
+``flat`` row of ``benchmarks/perfgate.py`` gates flat's absolute
+requests/sec instead, on a 255-node path timed against the parent commit.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def test_flat_speedup_at_path_1023(benchmark, capsys):
     Best-of-3 interleaved runs per backend: single cold runs on a shared
     box jitter by +-30%, and interleaving keeps both backends exposed to
     the same background load.  The ratio is not gated (see the module
-    docstring); flat's speed is gated by the trajectory ``flat`` row.
+    docstring); flat's speed is gated by the perf gate's ``flat`` row.
     """
     def measure():
         refs, flats = [], []

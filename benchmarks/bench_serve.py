@@ -10,8 +10,9 @@ would reject.
 
 The numbers measure the deployment stack (socket round-trips, framing,
 event-loop scheduling), not the mechanism: the same workload in-process
-runs orders of magnitude faster.  They are tracked longitudinally by the
-``serve`` row of ``benchmarks/trajectory.py``.
+runs orders of magnitude faster.  The ``serve`` row of
+``benchmarks/perfgate.py`` times the same drive (30 requests) against the
+parent commit.
 """
 
 from __future__ import annotations

@@ -150,7 +150,6 @@ class NodeRuntime(RuntimeTelemetry):
         node_cls: Type[LeaseNode] = LeaseNode,
         recovery: Optional[Any] = None,
         cost_accounting: bool = False,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.tree = tree
         self.op = op
@@ -184,12 +183,9 @@ class NodeRuntime(RuntimeTelemetry):
         )
         self._ghost = ghost
         self.node_cls = node_cls
-        #: Node timestamp source: an explicit live clock domain (external
-        #: transports — wall/hybrid clocks) wins, else the virtual clock,
-        #: else the sequential model's constant 0.0.
-        self._clock = clock if clock is not None else (
-            self._read_clock if self.sim is not None else None
-        )
+        #: Node timestamp source: the virtual clock, else (None) the
+        #: sequential model's constant 0.0.
+        self._clock = self._read_clock if self.sim is not None else None
         self.crashed: set = set()
         self._failure_listeners: List[Callable[[List[Request]], None]] = []
         for i in tree.nodes():
@@ -234,12 +230,10 @@ class NodeRuntime(RuntimeTelemetry):
     # ------------------------------------------------------------------ clock
     @property
     def now(self) -> float:
-        """Current time: virtual under a simulator, the injected live
-        clock under an external transport, 0.0 in the sequential model."""
+        """Current time: virtual under a simulator, 0.0 in the sequential
+        model."""
         if self.sim is not None:
             return self.sim.now
-        if self._clock is not None:
-            return self._clock()
         return 0.0
 
     def drain(self) -> None:

@@ -38,12 +38,6 @@ Batched delivery & accounting
     are active, drain drops to a slow path that emits the reference
     backend's exact event stream.
 
-Per-edge update coalescing
-    :meth:`run_write_batch` applies a batch of writes with at most one
-    ``update`` per granted edge per batch (opt-in API; sequential
-    ``execute()`` semantics are never coalesced, equivalence stays
-    exact).
-
 Everything the verification stack needs — ``state_snapshot()`` /
 ``fork()`` / ``pending_edges()`` / ``deliver_next()`` — is implemented
 bit-compatibly with the reference backend, so the model checker explores
@@ -1433,46 +1427,6 @@ class FlatRuntime(RuntimeTelemetry):
                                 ut.clear()
 
         stats._total += nsent
-
-    # -------------------------------------------------- write coalescing
-    def run_write_batch(self, requests: List[Request]) -> None:
-        """Apply a batch of writes with per-edge update coalescing.
-
-        The k writes a node absorbs within one batch trigger at most
-        *one* ``update`` per granted edge — carrying the final subval —
-        instead of k.  Receivers see a single update id per edge, so
-        lease timers are charged once per batch rather than once per
-        write; final values and subsequent combine results are unchanged
-        (asserted by tests), only the write-side message pressure drops.
-
-        This is a batch-semantics extension, not the sequential model:
-        ``AggregationSystem.execute`` never coalesces, keeping the
-        flat-vs-reference equivalence exact.
-        """
-        dirty_nodes: List[int] = []
-        seen: Set[int] = set()
-        for request in requests:
-            u = request.node
-            self._p_on_write(u)
-            self._val[u] = self.op.lift(request.arg)
-            request.index = self._completed[u]
-            request.completed_at = 0.0
-            self._completed[u] += 1
-            g = self._ghost[u]
-            if g is not None:
-                g.append_write(request)
-            self.trace.emit(0.0, "write_done", u, arg=request.arg)
-            if u not in seen:
-                seen.add(u)
-                dirty_nodes.append(u)
-        granted = self._granted
-        for u in dirty_nodes:
-            for t in range(self._off[u], self._off[u + 1]):
-                if granted[t]:
-                    self._upcntr[u] += 1
-                    self._forwardupdates(u, -1, self._upcntr[u])
-                    break
-        self.drain()
 
     # ------------------------------------------------------- crash recovery
     def add_failure_listener(self, fn: Callable[[List[Request]], None]) -> None:

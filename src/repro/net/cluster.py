@@ -280,19 +280,21 @@ class ClusterSupervisor:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        log = (self.run_dir / f"proc-{proc}.{inc}.log").open("wb")
-        self.procs[proc] = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve-node",
-                "--config", str(self.run_dir / "cluster.json"),
-                "--proc", proc,
-                "--incarnation", str(inc),
-            ],
-            env=env,
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            cwd=str(self.run_dir),
-        )
+        # The child writes through its own copy of the descriptor; ours
+        # is closed as soon as Popen returns.
+        with (self.run_dir / f"proc-{proc}.{inc}.log").open("wb") as log:
+            self.procs[proc] = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve-node",
+                    "--config", str(self.run_dir / "cluster.json"),
+                    "--proc", proc,
+                    "--incarnation", str(inc),
+                ],
+                env=env,
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                cwd=str(self.run_dir),
+            )
 
     async def start(self, ready_timeout: float = 30.0) -> None:
         """Write the config, spawn every process, wait until all answer."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 #: Subscriber callback signature: receives each event as it is emitted.
@@ -242,11 +243,17 @@ class TraceLog:
 
     def since(self, mark: int) -> List[TraceEvent]:
         """Events appended after the given :meth:`mark` cursor (retained
-        portion only, if the ring buffer evicted part of the window)."""
-        offset = max(0, mark - self._dropped)
-        if offset == 0:
-            return list(self._events)
-        return list(self._events)[offset:]
+        portion only, if the ring buffer evicted part of the window).
+
+        Walks only the window, from the newest end, so a cursor near the
+        end of a long log costs the window's length, not the log's.
+        """
+        size = len(self._events) - max(0, mark - self._dropped)
+        if size <= 0:
+            return []
+        window = list(islice(reversed(self._events), size))
+        window.reverse()
+        return window
 
     def clear(self) -> None:
         """Drop all events and reset the eviction counter (subscribers stay)."""

@@ -7,8 +7,8 @@ Its contract is *exact observational equivalence* with the reference
 rest of the repo) measures: message totals, per-edge per-kind counts,
 per-request costs, combine results, final lease graphs, and canonical
 ``state_snapshot()`` renderings.  These tests pin that contract on the
-same six scenarios the golden-trace suite uses, plus the fast-vs-slow
-drain cross-check and the write-batch coalescing extension.
+six scenarios the golden-trace suite uses plus an AB-policy path, and
+cross-check the fast and slow drains.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from repro import (
     star_tree,
     two_node_tree,
 )
-from repro.core.backend import build_backend
-from repro.ops.standard import SUM
-from repro.workloads import adv_sequence, uniform_workload, write
+from repro.workloads import adv_sequence, uniform_workload
 from repro.workloads.requests import COMBINE, copy_sequence
 
 SCENARIOS = {
@@ -50,6 +48,13 @@ SCENARIOS = {
     "ab23_star8_mixed": dict(
         tree=lambda: star_tree(8),
         workload=lambda n: uniform_workload(n, 60, read_ratio=0.5, seed=3),
+        policy=lambda: ABPolicy(2, 3),
+    ),
+    # AB on a path: degree-2 nodes under a counting policy, on flat's
+    # fast loop (its dedicated degree-2 handlers).
+    "ab23_path7_mixed": dict(
+        tree=lambda: path_tree(7),
+        workload=lambda n: uniform_workload(n, 80, read_ratio=0.5, seed=17),
         policy=lambda: ABPolicy(2, 3),
     ),
     "always_path5": dict(
@@ -100,7 +105,7 @@ def test_flat_matches_reference(name):
     assert run_scenario(spec, "flat") == run_scenario(spec, "reference")
 
 
-@pytest.mark.parametrize("name", ["rww_path6_mixed", "ab23_star8_mixed"])
+@pytest.mark.parametrize("name", ["rww_path6_mixed", "ab23_star8_mixed", "ab23_path7_mixed"])
 def test_fast_and_slow_drains_agree(name):
     """The flat backend has two drain paths: the batched fast loop (bare
     runs) and the event-faithful slow loop (tracing/ghost on).  They must
@@ -139,41 +144,6 @@ def test_flat_trace_stream_matches_reference():
     ref, flat = events("reference"), events("flat")
     assert len(ref) == len(flat)
     assert ref == flat
-
-
-def test_write_batch_coalesces_updates():
-    """The flat backend's batch entry point sends at most one update per
-    granted edge per dirty node — never more messages than one-at-a-time
-    execution — and converges to the same aggregate."""
-    tree = path_tree(6)
-    # Install leases everywhere first so writes actually push updates.
-    warm = [write(i % tree.n, float(i)) for i in range(12)]
-
-    def warmed(backend):
-        rt = build_backend(backend, tree, op=SUM, policy_factory=AlwaysLeasePolicy)
-        from repro.workloads import combine
-
-        done = []
-        rt.submit_combine(combine(0), done.append)
-        rt.drain()
-        return rt
-
-    one_by_one = warmed("flat")
-    warm_cost = one_by_one.stats.total
-    for q in copy_sequence(warm):
-        one_by_one.submit_write(q)
-        one_by_one.drain()
-    serial_cost = one_by_one.stats.total - warm_cost
-
-    batched = warmed("flat")
-    assert batched.stats.total == warm_cost  # identical warm-up
-    batched.run_write_batch(copy_sequence(warm))
-    batch_cost = batched.stats.total - warm_cost
-    assert 0 < batch_cost < serial_cost  # coalescing genuinely fired
-    # Same final aggregate either way.
-    assert one_by_one._gval(0) == batched._gval(0)
-    one_by_one.check_quiescent_invariants()
-    batched.check_quiescent_invariants()
 
 
 def test_flat_ghost_logs_match_reference():

@@ -302,6 +302,27 @@ class TestClusterConfig:
         ports = free_ports(5)
         assert len(set(ports)) == 5
 
+    def test_spawn_closes_the_log_handle(self, tmp_path, monkeypatch):
+        """The supervisor's copy of a child's stdout log is closed once
+        ``Popen`` returns; before, every spawn leaked one file object."""
+        import repro.net.cluster as cluster_mod
+
+        handed = []
+
+        def fake_popen(argv, **kwargs):
+            handed.append(kwargs["stdout"])
+            assert not kwargs["stdout"].closed  # open while the child starts
+            return object()
+
+        monkeypatch.setattr(cluster_mod.subprocess, "Popen", fake_popen)
+        config = ClusterConfig.for_tree(path_tree(2), str(tmp_path), nodes_per_proc=1)
+        sup = ClusterSupervisor(config)
+        for proc in config.procs:
+            sup._spawn(proc)
+        assert len(handed) == 2
+        assert all(fh.closed for fh in handed)
+        assert (tmp_path / "proc-p0.0.log").exists()
+
     def test_policy_specs(self):
         for spec in ["rww", "always", "never", "ab:1,2"]:
             assert callable(policy_factory_for(spec))

@@ -10,6 +10,7 @@ bit-identical JSONL round-trips of sequential and chaos runs.
 from __future__ import annotations
 
 import json
+from collections import deque
 
 import pytest
 
@@ -127,6 +128,36 @@ class TestTraceLog:
         # events 2..5 were appended after the mark; 0..2 got evicted,
         # so only the retained tail comes back.
         assert [ev.detail["i"] for ev in window] == [3, 4, 5]
+
+    @pytest.mark.parametrize("max_events", [None, 5000])
+    def test_since_walks_only_the_window(self, max_events):
+        # Traced runs call since() once per combine; copying the whole
+        # retained log each time made them quadratic in its length.
+        class CountingDeque(deque):
+            visits = 0
+
+            def __iter__(self):
+                for ev in super().__iter__():
+                    CountingDeque.visits += 1
+                    yield ev
+
+            def __reversed__(self):
+                for ev in super().__reversed__():
+                    CountingDeque.visits += 1
+                    yield ev
+
+        log = TraceLog(enabled=True, max_events=max_events)
+        for i in range(9997):
+            log.emit(float(i), "quiescent", -1, i=i)
+        mark = log.mark()
+        for i in range(9997, 10000):
+            log.emit(float(i), "quiescent", -1, i=i)
+        log._events = CountingDeque(log._events, maxlen=max_events)
+        window = log.since(mark)
+        assert [ev.detail["i"] for ev in window] == [9997, 9998, 9999]
+        assert CountingDeque.visits <= len(window)
+        assert log.since(log.mark()) == []
+        assert len(log.since(0)) == len(log)
 
     def test_subscribers_fire_and_unsubscribe(self):
         log = TraceLog(enabled=True)
